@@ -15,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,12 +32,14 @@ using nodetr::tensor::index_t;
 using nodetr::tensor::Shape;
 using nodetr::tensor::Tensor;
 
-/// Shared DDR visible to both PS and PL.
+/// Shared DDR visible to both PS and PL. The backing store is calloc'd, so
+/// it reads as zeros but a page only becomes resident once it is touched: a
+/// 64 MiB board whose driver stages a few feature maps costs a few pages.
 class DdrMemory {
  public:
-  explicit DdrMemory(std::size_t bytes = 64 << 20) : mem_(bytes, 0) {}
+  explicit DdrMemory(std::size_t bytes = 64 << 20);
 
-  [[nodiscard]] std::size_t size() const { return mem_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   void write(std::uint64_t addr, const void* src, std::size_t bytes);
   void read(std::uint64_t addr, void* dst, std::size_t bytes) const;
@@ -51,14 +55,18 @@ class DdrMemory {
   [[nodiscard]] const std::string& fault_scope() const { return fault_scope_; }
 
  private:
+  struct Free {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
   void check(std::uint64_t addr, std::size_t bytes) const;
-  std::vector<std::uint8_t> mem_;
+  std::unique_ptr<std::uint8_t[], Free> mem_;
+  std::size_t size_ = 0;
   std::string fault_scope_;
 };
 
 /// DMA transfer cost model for a high-performance AXI port: a fixed
 /// descriptor-setup latency plus one beat per PL cycle. Defaults model the
-/// paper's 32-bit HP0 port; a DevicePool board can widen the beat or change
+/// paper's 32-bit HP0 port; a SimulatedDevice board can widen the beat or change
 /// the setup cost to give each simulated board its own DMA bandwidth.
 class AxiStreamDma {
  public:

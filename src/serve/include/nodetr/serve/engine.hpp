@@ -1,23 +1,37 @@
 // nodetr::serve — concurrent batched inference engine over the MHSA
-// accelerator (the request path the ROADMAP's production north star needs).
+// accelerator: the paper's final-block MHSA on a PL IP, fed from the PS over
+// DMA, served to many concurrent clients.
 //
 //   producers ── submit(x, {ttl, priority}) ──► admission control
 //                    │   deadline check ► AdmissionController (CoDel shed)
 //                    ▼
 //               RequestQueue (bounded, kBlock | kReject | kShedOldest)
+//                    │
+//        (devices configured: ClusterRouter thread ──► one FIFO queue per
+//         board, cost-model dispatch, breaker-aware — see router.hpp)
 //                    │  FIFO rows, ≤ max_batch, adaptive linger
 //               MicroBatcher (one per worker; order-preserving splits/
 //                    │        merges, worker-local carry, expiry re-check)
 //                    ▼
-//      worker 0..N-1 ── warm MhsaIpCore replica per session
-//          ├─ kCpuFloat:  float32 datapath run in-process
-//          ├─ kCpuQuant:  fixed datapath on block-quantized (int8-wire)
-//          │              weights run in-process
-//          └─ kFpga*:     own DdrMemory + MhsaAccelerator; batched START with
-//                         batch-resident weights; per-session circuit
+//      worker 0..N-1 ── each drives its own rt::SimulatedDevice
+//          ├─ kCpuFloat:  host-only board; float32 datapath in-process
+//          ├─ kCpuQuant:  host-only board; fixed datapath on block-quantized
+//          │              (int8-wire) weights in-process
+//          └─ kFpga*:     DDR + MhsaAccelerator on the board; batched START
+//                         with batch-resident weights; per-board circuit
 //                         breaker (closed → open → half-open probe → closed)
 //                    ▼
 //             scatter rows back per request ──► fulfil std::future<Tensor>
+//
+// One session model: the engine is always a fleet. EngineConfig::devices
+// lists its boards; an engine configured without `devices` is the degenerate
+// fleet of `workers` boards named "dev<i>", all of `backend`, which share the
+// central queue directly (no router thread, so idle workers steal work from
+// one queue). Each board — own clock, DMA beat width, DDR, DeviceCounters and
+// deterministic per-board fault scope "<name>" — is driven by exactly one
+// worker session, which builds it from its version snapshot and rebuilds it
+// from scratch when the worker respawns; the session's circuit breaker *is*
+// that board's breaker.
 //
 // Guarantees:
 //   - outputs are bitwise identical to running each request alone through
@@ -27,7 +41,8 @@
 //     value, or with a typed exception — including during shutdown, which
 //     drains all queued work before the workers exit;
 //   - a request's rows stay on one worker in row order even when the request
-//     is split across micro-batches;
+//     is split across micro-batches; with a router, two requests routed to
+//     the same board execute in submission order;
 //   - **bounded completion**: under any fault schedule (stalled IP, DMA /
 //     ECC / AXI faults, allocation failure, worker crash — see
 //     nodetr::fault) every accepted request still resolves, with a value or
@@ -46,52 +61,31 @@
 //     target; BackpressurePolicy::kShedOldest trades the stalest queued
 //     request for the newest. Shed and expired requests always resolve with
 //     a typed error (RequestShedError / RequestExpired) — never hang;
-//   - **self-healing backends**: each FPGA session runs behind a circuit
-//     breaker. Repeated device faults open it (traffic falls back to the
-//     in-process CPU float datapath, bitwise for float backends); after a
-//     cooldown the next batch probes the device (half-open) and a clean run
-//     restores the session's FPGA backend. See circuit_breaker.hpp.
+//   - **self-healing boards**: repeated device faults open a board's breaker
+//     (traffic falls back to the in-process CPU float datapath, bitwise for
+//     float backends, and the router steers away for the cooldown); the next
+//     batch after the cooldown probes the device (half-open) and a clean run
+//     restores the board. See circuit_breaker.hpp.
 //
-// Observability (v2 — see DESIGN.md):
+// Stats are counted once: every batch, row, retry, breaker transition and
+// rt::DeviceCounters delta is recorded in its board's DeviceStats slot only,
+// before the affected futures resolve. stats() derives the engine-wide
+// totals and the per-backend `devices` map from those slots; request-level
+// outcomes (submitted/completed/failed/shed/expired/rejected) are engine
+// counters.
+//
+// Observability (see DESIGN.md):
 //   - request-scoped tracing: submit mints a trace id (SubmitOptions can pin
-//     one) that rides the request through queue, batcher split/merge/carry,
-//     worker, and accelerator. With NODETR_TRACE set, flow events
-//     (submit -> each batch hop -> serve.complete) make one request a single
-//     clickable arrow chain in Perfetto; the always-on flight recorder keeps
-//     the same milestones in lock-free per-thread rings and dumps a merged
-//     timeline on worker crash, breaker open, DeadlineExceeded, or
-//     std::terminate (NODETR_FLIGHT=<path> — see obs/flight_recorder.hpp);
-//   - device counters: stats().devices exposes per-backend DMA bytes in/out,
-//     weight bytes saved by batch residency, stall cycles, and utilization %
-//     (rt::DeviceCounters), drained from each session after every batch;
+//     one) that rides the request through queue, router, batcher
+//     split/merge/carry, worker, and accelerator. With NODETR_TRACE set, flow
+//     events (submit -> [serve.route] -> each batch hop -> serve.complete)
+//     make one request a single clickable arrow chain in Perfetto; the
+//     always-on flight recorder keeps the same milestones in lock-free
+//     per-thread rings and dumps a merged timeline on worker crash, breaker
+//     open, DeadlineExceeded, or std::terminate (NODETR_FLIGHT=<path> — see
+//     obs/flight_recorder.hpp);
 //   - SLO watch: stats().slo is a rolling-window goodput / p99 queue-wait /
 //     p99 latency snapshot with breach flags (EngineConfig::slo targets).
-//
-// Cluster mode (EngineConfig::devices non-empty): the engine generalizes to
-// a fleet of simulated boards behind a cluster router —
-//
-//   producers ──► central RequestQueue (FIFO)
-//                     │  single router thread, strict pop order
-//                ClusterRouter (cost-model dispatch, breaker-aware;
-//                     │         see router.hpp)
-//        ┌────────────┼────────────┐
-//        ▼            ▼            ▼
-//   device queue  device queue  device queue     (one per board, FIFO)
-//        │            │            │
-//   worker+board  worker+board  worker+board     (rt::DevicePool boards,
-//                                                 per-board fault scopes)
-//
-// Each DeviceConfig names one rt::SimulatedDevice (own clock, DMA beat
-// width, DDR, DeviceCounters, deterministic per-board fault stream) driven
-// by exactly one worker, so the PR 5 per-session circuit breaker *is* that
-// device's breaker; its transitions feed both the router (which steers
-// traffic away while the cooldown runs) and the per-device metrics
-// serve.device.<name>.breaker_{opens,probes,reopens,closes}. FIFO is
-// preserved per device: the router dispatches in submit order and each
-// device queue is FIFO, so two requests routed to the same device always
-// execute in submission order (and the flow-event chain gains one
-// serve.route hop between submit and batch). stats() keeps the legacy
-// per-backend `devices` aggregation and adds per-board `device_stats`.
 //
 // Live model updates (hot-swap — see DESIGN.md §Hot-swap protocol): the
 // engine owns a ModelRegistry of immutable versioned weight snapshots
@@ -129,11 +123,12 @@
 // serve.requests_*, serve.batches, serve.rows, serve.queue_depth, serve.shed,
 // serve.expired, serve.retries[.<backend>], serve.fallbacks[.<backend>],
 // serve.faults_injected.<backend>, serve.breaker.{open,reopen,half_open,
-// close} with the serve.breaker_state gauge (currently demoted sessions),
-// serve.device.<name>.{routed,batches,rows,breaker_*} in cluster mode,
-// serve.worker_aborted / serve.worker_respawns / serve.isolation_runs, and
-// the histograms serve.batch_occupancy_pct, serve.queue_wait_us,
-// serve.request_latency_us and serve.retry_latency_us (p50/p95/p99).
+// close} with the serve.breaker_state gauge (currently demoted boards),
+// serve.device.<name>.{routed,batches,rows,breaker_*} per board (`routed`
+// only moves with a router), serve.worker_aborted / serve.worker_respawns /
+// serve.isolation_runs, and the histograms serve.batch_occupancy_pct,
+// serve.queue_wait_us, serve.request_latency_us and serve.retry_latency_us
+// (p50/p95/p99).
 #pragma once
 
 #include <atomic>
@@ -146,7 +141,7 @@
 #include "nodetr/hls/mhsa_ip.hpp"
 #include "nodetr/obs/obs.hpp"
 #include "nodetr/rt/accelerator.hpp"
-#include "nodetr/rt/device_pool.hpp"
+#include "nodetr/rt/device.hpp"
 #include "nodetr/serve/admission.hpp"
 #include "nodetr/serve/circuit_breaker.hpp"
 #include "nodetr/serve/micro_batcher.hpp"
@@ -207,12 +202,12 @@ struct SubmitOptions {
   std::uint64_t trace_id = 0;
 };
 
-/// One simulated board of a cluster-mode engine. Each device gets its own
-/// rt::SimulatedDevice (DDR, DMA port, cycle clock, DeviceCounters, and the
-/// per-board fault scope `name`), one dedicated worker, and one per-device
-/// circuit breaker. Heterogeneous fleets are fine: CPU-float, FPGA-float and
-/// FPGA-fixed boards can mix, with the usual numerics caveat that fixed
-/// results then depend on placement.
+/// One simulated board of the engine's fleet: its own rt::SimulatedDevice
+/// (DDR, DMA port, cycle clock, DeviceCounters, and the per-board fault scope
+/// `name`), one dedicated worker, and one circuit breaker. CPU backends get a
+/// host-only board. Heterogeneous fleets are fine: CPU-float, CPU-quant,
+/// FPGA-float and FPGA-fixed boards can mix, with the usual numerics caveat
+/// that fixed results then depend on placement.
 struct DeviceConfig {
   std::string name;  ///< metrics label + fault scope; "" = "dev<index>"
   Backend backend = Backend::kFpgaFloat;
@@ -290,49 +285,51 @@ struct SwapStats {
 
 struct EngineConfig {
   /// MHSA geometry (and the quantization scheme for kFpgaFixed). The dtype
-  /// and weight residency fields are overridden per backend: FPGA sessions
+  /// and weight residency fields are overridden per backend: FPGA boards
   /// always run batch-resident weights.
   hls::MhsaDesignPoint point;
+  /// Without `devices`: the backend of every board of the degenerate fleet.
   Backend backend = Backend::kFpgaFloat;
-  /// Optional per-worker backends (size must equal `workers`); empty means
-  /// every worker runs `backend`. Mixing float backends preserves bitwise
-  /// results; mixing fixed with float makes numerics depend on placement.
-  std::vector<Backend> worker_backends;
+  /// Without `devices`: the number of boards ("dev0".."dev<workers-1>") and
+  /// workers, all draining the central queue. With `devices` it is derived
+  /// (one worker per device).
   std::size_t workers = 2;
   std::size_t queue_capacity = 64;
   BackpressurePolicy policy = BackpressurePolicy::kBlock;
   BatcherConfig batcher;
   FaultPolicy fault;
   AdmissionConfig admission;  ///< CoDel-style shedding (disabled by default)
-  BreakerConfig breaker;      ///< per-session device circuit breaker
+  BreakerConfig breaker;      ///< per-board device circuit breaker
   SloConfig slo;              ///< rolling-window SLO targets (see slo.hpp)
-  /// Cluster mode: non-empty turns the engine into an N-board fleet — one
-  /// worker per device, a router thread between the central queue and the
-  /// per-device queues. `workers` / `worker_backends` are then ignored
-  /// (derived from this list). Note the fleet buffers up to
-  /// (devices + 1) × queue_capacity requests across its queues.
+  /// The fleet, one worker per board, with a router thread between the
+  /// central queue and per-board queues. Names must be unique ("" becomes
+  /// "dev<index>"); the fleet buffers up to (devices + 1) × queue_capacity
+  /// requests across its queues. Empty: the degenerate fleet described under
+  /// `workers`.
   std::vector<DeviceConfig> devices;
-  RouterConfig router;  ///< cost-model dispatch knobs (cluster mode only)
+  RouterConfig router;  ///< cost-model dispatch knobs (only with `devices`)
   HotSwapConfig hot_swap;  ///< canary / rollback policy for begin_swap()
 };
 
-/// Per-board view of a cluster-mode engine (EngineStats::device_stats).
-/// Counter fields accumulate over the engine's lifetime (surviving worker
-/// respawns); `breaker_open` / `pending_rows` / `est_us_per_row` are live
-/// router state at the stats() call.
+/// Per-board stats slot (EngineStats::device_stats) — the one place the
+/// engine records a board's batches, rows, retries, breaker transitions and
+/// device counters. Counter fields accumulate over the engine's lifetime
+/// (surviving worker respawns); `pending_rows` / `est_us_per_row` are live
+/// router state at the stats() call (0 without a router).
 struct DeviceStats {
   std::string backend;           ///< home backend name ("fpga_float", ...)
-  std::uint64_t batches = 0;
+  std::uint64_t batches = 0;     ///< micro-batches executed (incl. failed ones)
   std::uint64_t rows = 0;
   std::uint64_t retries = 0;
   std::uint64_t breaker_opens = 0;
   std::uint64_t breaker_probes = 0;
   std::uint64_t breaker_reopens = 0;
   std::uint64_t breaker_closes = 0;
-  bool breaker_open = false;     ///< router view: open (incl. cooldown wait)
-  bool lost = false;             ///< worker respawn failed; never routed again
+  bool breaker_open = false;     ///< opened or re-opened, not closed since
+  bool lost = false;             ///< worker respawn failed; never served again
   std::int64_t pending_rows = 0; ///< rows routed but not yet resolved
   double est_us_per_row = 0.0;   ///< router's EWMA cost estimate
+  std::int64_t sim_cycles = 0;   ///< accelerator cycles of completed executes
   rt::DeviceCounters counters;   ///< this board's simulated-time counters
 };
 
@@ -354,6 +351,8 @@ struct EngineStats {
   std::uint64_t expired = 0;     ///< deadline passed before completion
   std::uint64_t completed = 0;   ///< futures fulfilled with a value
   std::uint64_t failed = 0;      ///< futures fulfilled with an exception
+  // batches, rows, retries, fallbacks, breaker_*, open_breakers, sim_cycles
+  // and devices are derived from device_stats at the stats() call.
   std::uint64_t batches = 0;     ///< micro-batches executed
   std::uint64_t rows = 0;        ///< total rows executed
   std::uint64_t retries = 0;     ///< batch re-executions after transient faults
@@ -364,20 +363,20 @@ struct EngineStats {
   std::uint64_t breaker_probes = 0;   ///< open -> half-open (cooldown elapsed)
   std::uint64_t breaker_reopens = 0;  ///< half-open -> open (probe faulted)
   std::uint64_t breaker_closes = 0;   ///< half-open -> closed (device healed)
-  std::uint64_t open_breakers = 0;    ///< sessions currently demoted to CPU
+  std::uint64_t open_breakers = 0;    ///< boards currently demoted to CPU
   // Queue-wait distribution (µs) — the admission-control signal.
   double queue_wait_p50_us = 0.0;
   double queue_wait_p95_us = 0.0;
   double queue_wait_p99_us = 0.0;
-  std::int64_t sim_cycles = 0;   ///< accumulated accelerator cycles (FPGA backends)
+  std::int64_t sim_cycles = 0;   ///< accelerator cycles of completed executes
   /// Per-backend device performance counters (DMA bytes, stall cycles,
-  /// utilization %), absorbed from every session of that home backend —
-  /// including sessions since respawned or demoted. Keyed by backend name;
-  /// CPU-only engines have no entries. In cluster mode this aggregates all
-  /// boards of the same backend (see device_stats for the per-board split).
+  /// utilization %): the sum of the `counters` of every board of that home
+  /// backend, including work done before a respawn or demotion. Keyed by
+  /// backend name; backends whose boards never moved a counter (all CPU
+  /// boards) have no entry.
   std::map<std::string, rt::DeviceCounters> devices;
-  /// Cluster mode: per-board stats keyed by DeviceConfig::name (empty for
-  /// single-device engines).
+  /// Per-board stats keyed by DeviceConfig::name ("dev<i>" for an engine
+  /// configured without `devices`).
   std::map<std::string, DeviceStats> device_stats;
   /// Rolling-window SLO state (goodput, p99s, breach flags) — see slo.hpp.
   SloSnapshot slo;
@@ -396,9 +395,10 @@ struct EngineStats {
 class InferenceEngine {
  public:
   /// Spins up the worker sessions (each quantizes/copies `weights` into its
-  /// own warm MhsaIpCore replica) and starts serving immediately. Throws
-  /// std::invalid_argument on an invalid config (workers, queue_capacity,
-  /// worker_backends size, fault/admission/breaker/batcher bounds).
+  /// own warm MhsaIpCore replica on its own board) and starts serving
+  /// immediately. Throws std::invalid_argument on an invalid config (workers,
+  /// queue_capacity, duplicate device names, device clock / DMA beat,
+  /// fault/admission/breaker/batcher bounds).
   InferenceEngine(EngineConfig config, const hls::MhsaWeights& weights);
   ~InferenceEngine();
 
@@ -459,15 +459,20 @@ class InferenceEngine {
     obs::Gauge* breaker_open = nullptr;
   };
 
+  enum class BreakerTransition { kOpen, kProbe, kReopen, kClose };
+
+  /// Fills the degenerate fleet when `devices` is empty, names and checks
+  /// every board, and derives `workers`.
   [[nodiscard]] static EngineConfig validated(EngineConfig config);
   [[nodiscard]] bool cluster() const { return router_ != nullptr; }
-  [[nodiscard]] std::unique_ptr<WorkerSession> make_session(Backend backend, std::size_t worker);
+  /// Builds worker `worker`'s session and board from the active version.
+  [[nodiscard]] std::unique_ptr<WorkerSession> make_session(std::size_t worker);
   void worker_loop(std::size_t worker);
-  /// Cluster mode: drain the central queue in FIFO order, cost-route each
+  /// Router thread: drain the central queue in FIFO order, cost-route each
   /// request to a device queue. Closes the device queues on exit so the
   /// workers drain and stop.
   void router_loop();
-  /// Cluster mode: the worker slot is gone for good — fail everything still
+  /// Router: the worker slot is gone for good — fail everything still
   /// queued on its device so no future hangs.
   void abandon_device(std::size_t worker);
   void process_batch(WorkerSession& session, MicroBatch& batch);
@@ -502,16 +507,21 @@ class InferenceEngine {
   void promote_locked(std::unique_lock<std::mutex>& lk);
   void rollback_locked(RollbackReason reason);
   void note_device_success(WorkerSession& session);
+  /// The one bookkeeping path of a breaker transition: the board's stats
+  /// slot, the serve.breaker.* / serve.device.<name>.breaker_* metrics, the
+  /// flight recorder, and the router's view of the board.
+  void note_breaker(WorkerSession& session, BreakerTransition transition);
   void isolate_slices(WorkerSession& session, MicroBatch& batch);
   void salvage_requests(RequestQueue& queue, const std::vector<RequestPtr>& held,
                        std::exception_ptr error);
-  /// Cluster mode: a routed request reached a terminal state — release its
-  /// load from the router's pending accounting (exactly once per request).
+  /// A routed request reached a terminal state — release its load from the
+  /// router's pending accounting (exactly once per request).
   void note_resolved(const Request& r);
-  /// Drain the session accelerator's pending DeviceCounters into the
-  /// per-backend totals stats() reports. Must run on the worker thread that
-  /// owns the session (take_counters is owner-thread-only).
-  void absorb_device_counters(WorkerSession& session);
+  /// After every accelerator execute: drain the board's pending
+  /// DeviceCounters, plus `sim_cycles` of a completed execute, into its stats
+  /// slot. Must run on the worker thread that owns the session
+  /// (take_counters is owner-thread-only).
+  void record_execute(WorkerSession& session, std::int64_t sim_cycles);
   void fail_batch(MicroBatch& batch, std::exception_ptr error);
   void finish_rows(const MicroBatch& batch, const Tensor& output);
   void fail_request(Request& r, std::exception_ptr error,
@@ -519,6 +529,10 @@ class InferenceEngine {
   void fail_expired(Request& r);
   void fail_shed(Request& r);
 
+  /// `devices` was configured: a router thread feeds per-board queues.
+  /// Declared before config_ so it reads the caller's config, not the
+  /// validated one (which always lists the fleet).
+  const bool routed_;
   EngineConfig config_;
   /// Version store; the construction weights become version 1 (active).
   /// Sessions stage shared_ptr snapshots from here (RCU — see engine.cpp).
@@ -527,14 +541,12 @@ class InferenceEngine {
   AdmissionController admission_;
   SloMonitor slo_;
   obs::Histogram queue_wait_us_;  ///< engine-local; feeds stats() percentiles
-  mutable std::mutex devices_mu_;  ///< guards devices_ and device_stats_
-  std::map<std::string, rt::DeviceCounters> devices_;  ///< per home-backend totals
-  std::vector<DeviceStats> device_stats_;  ///< cluster mode, indexed by device
-  // Cluster mode (all null/empty for single-device engines):
+  mutable std::mutex stats_mu_;  ///< guards device_stats_
+  std::vector<DeviceStats> device_stats_;  ///< the per-board slots, by worker
+  std::vector<DeviceMetrics> device_metrics_;  ///< by worker
+  // Routing (null/empty without `devices`):
   std::unique_ptr<ClusterRouter> router_;
-  std::unique_ptr<rt::DevicePool> device_pool_;
   std::vector<std::unique_ptr<RequestQueue>> device_queues_;
-  std::vector<DeviceMetrics> device_metrics_;
   std::thread router_thread_;
   std::vector<std::unique_ptr<WorkerSession>> sessions_;
   std::unique_ptr<tensor::ThreadPool> pool_;
@@ -543,13 +555,7 @@ class InferenceEngine {
   std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> submitted_{0}, rejected_{0}, completed_{0}, failed_{0};
-  std::atomic<std::uint64_t> shed_{0}, expired_{0};
-  std::atomic<std::uint64_t> batches_{0}, rows_{0};
-  std::atomic<std::uint64_t> retries_{0}, fallbacks_{0}, respawns_{0};
-  std::atomic<std::uint64_t> breaker_opens_{0}, breaker_probes_{0};
-  std::atomic<std::uint64_t> breaker_reopens_{0}, breaker_closes_{0};
-  std::atomic<std::uint64_t> open_breakers_{0};
-  std::atomic<std::int64_t> sim_cycles_{0};
+  std::atomic<std::uint64_t> shed_{0}, expired_{0}, respawns_{0};
   // ── Hot-swap state ──────────────────────────────────────────────────────
   // swap_epoch_ is the RCU edge: bumped (release) on every begin/commit/
   // rollback; workers compare their staged epoch (acquire) at each batch

@@ -67,12 +67,12 @@ struct Request {
   std::promise<Tensor> promise;
   /// Queue wait observed at pop (µs); -1 until popped. Written by the single
   /// popping worker (same no-lock rule as the row bookkeeping above) and
-  /// read back at completion for the SLO monitor. In cluster mode the device
+  /// read back at completion for the SLO monitor. With a router the device
   /// queue's pop overwrites the router's central-pop value, so the final
   /// number is the full submit → worker wait.
   std::int64_t queue_wait_us = -1;
-  /// Cluster mode: device index the router dispatched this request to; -1
-  /// until routed (or forever, in single-device mode). Written by the single
+  /// Device index the router dispatched this request to; -1 until routed
+  /// (or forever, in an engine without a router). Written by the single
   /// router thread before the device-queue push.
   int routed_device = -1;
   std::chrono::steady_clock::time_point enqueued_at;

@@ -34,26 +34,21 @@ const char* to_string(RollbackReason reason) {
   return "?";
 }
 
-/// One worker's private execution state: a warm IP replica, and for FPGA
-/// backends its own DDR + accelerator, so sessions never contend on a device.
-/// `backend` is where traffic runs right now; `home_backend` is where the
-/// session belongs — the circuit breaker demotes `backend` to kCpuFloat when
-/// the device keeps faulting and restores it after a clean half-open probe.
-/// In cluster mode the worker drains its own device queue and drives a
-/// pool-owned rt::SimulatedDevice instead of session-owned DDR/accelerator;
-/// `accel` points at whichever of the two applies.
+/// One worker's private execution state: a warm IP replica on its own
+/// simulated board, so sessions never contend on a device. `backend` is where
+/// traffic runs right now; `home_backend` is where the session belongs — the
+/// circuit breaker demotes `backend` to kCpuFloat when the device keeps
+/// faulting and restores it after a clean half-open probe.
 struct InferenceEngine::WorkerSession {
-  std::size_t index = 0;  ///< worker slot (stable across respawns)
+  std::size_t index = 0;  ///< worker slot = board index (stable across respawns)
   Backend home_backend = Backend::kCpuFloat;
   Backend backend = Backend::kCpuFloat;
   RequestQueue* source = nullptr;  ///< queue this session drains
   MicroBatcher batcher;
-  std::unique_ptr<hls::MhsaIpCore> cpu_ip;    ///< kCpuFloat (built on demand)
-  std::unique_ptr<rt::DdrMemory> ddr;               ///< single-device kFpga*
-  std::unique_ptr<rt::MhsaAccelerator> accel_owned; ///< single-device kFpga*
-  rt::SimulatedDevice* device = nullptr;  ///< cluster mode (owned by the pool)
-  rt::MhsaAccelerator* accel = nullptr;   ///< kFpga* (kept alive while open
-                                          ///  so the probe can reuse it)
+  std::unique_ptr<hls::MhsaIpCore> cpu_ip;       ///< kCpu* replica / demotion fallback
+  std::unique_ptr<rt::SimulatedDevice> board;    ///< host-only for CPU backends
+  rt::MhsaAccelerator* accel = nullptr;  ///< the board's accelerator (kFpga*); kept
+                                         ///  while demoted so the probe can reuse it
   CircuitBreaker breaker;
   // ── Hot-swap staging (worker-thread-only, mutated at batch boundaries) ──
   std::shared_ptr<const ModelVersion> staged_version;  ///< what the datapaths serve
@@ -67,39 +62,35 @@ struct InferenceEngine::WorkerSession {
 };
 
 EngineConfig InferenceEngine::validated(EngineConfig config) {
-  if (!config.devices.empty()) {
-    // Cluster mode: one worker per device; the flat worker knobs must not
-    // contradict the device list.
-    if (!config.worker_backends.empty()) {
-      throw std::invalid_argument(
-          "InferenceEngine: worker_backends and devices are mutually exclusive "
-          "(cluster mode derives one worker per device)");
-    }
-    config.workers = config.devices.size();
-    for (std::size_t i = 0; i < config.devices.size(); ++i) {
-      DeviceConfig& d = config.devices[i];
-      if (d.name.empty()) d.name = "dev" + std::to_string(i);
-      if (d.clock_mhz <= 0.0) {
-        throw std::invalid_argument("InferenceEngine: device \"" + d.name +
-                                    "\": clock_mhz must be > 0");
-      }
-      if (d.dma_beat_bytes < 1) {
-        throw std::invalid_argument("InferenceEngine: device \"" + d.name +
-                                    "\": dma_beat_bytes must be >= 1");
-      }
-    }
+  if (config.devices.empty()) {
+    // The degenerate fleet: `workers` default boards of `backend`.
+    config.devices.resize(config.workers);
+    for (DeviceConfig& d : config.devices) d.backend = config.backend;
   }
+  config.workers = config.devices.size();
   if (config.workers < 1) {
     throw std::invalid_argument("InferenceEngine: workers must be >= 1");
   }
+  for (std::size_t i = 0; i < config.devices.size(); ++i) {
+    DeviceConfig& d = config.devices[i];
+    if (d.name.empty()) d.name = "dev" + std::to_string(i);
+    if (d.clock_mhz <= 0.0) {
+      throw std::invalid_argument("InferenceEngine: device \"" + d.name +
+                                  "\": clock_mhz must be > 0");
+    }
+    if (d.dma_beat_bytes < 1) {
+      throw std::invalid_argument("InferenceEngine: device \"" + d.name +
+                                  "\": dma_beat_bytes must be >= 1");
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      if (config.devices[j].name == d.name) {
+        throw std::invalid_argument("InferenceEngine: duplicate device name \"" + d.name +
+                                    "\" (names key metrics and fault scopes)");
+      }
+    }
+  }
   if (config.queue_capacity < 1) {
     throw std::invalid_argument("InferenceEngine: queue_capacity must be >= 1");
-  }
-  if (!config.worker_backends.empty() && config.worker_backends.size() != config.workers) {
-    throw std::invalid_argument(
-        "InferenceEngine: worker_backends must be empty or one entry per worker (got " +
-        std::to_string(config.worker_backends.size()) + " entries for " +
-        std::to_string(config.workers) + " workers)");
   }
   if (config.fault.max_retries < 0 || config.fault.backoff_us < 0 ||
       config.fault.max_backoff_us < 0 || config.fault.backoff_multiplier < 1.0) {
@@ -126,10 +117,8 @@ EngineConfig InferenceEngine::validated(EngineConfig config) {
 }
 
 std::unique_ptr<InferenceEngine::WorkerSession> InferenceEngine::make_session(
-    Backend backend, std::size_t worker) {
-  // Cluster mode: the session drains its own device queue and drives the
-  // pool board in its slot; a respawn rebuilds the board from scratch (fresh
-  // DDR, counters at zero) exactly like the initial bring-up.
+    std::size_t worker) {
+  const DeviceConfig& device = config_.devices[worker];
   RequestQueue& source = cluster() ? *device_queues_[worker] : queue_;
   auto session = std::make_unique<WorkerSession>(source, config_.batcher, config_.breaker);
   // Expired requests are failed the moment the batcher sheds them — next()
@@ -137,33 +126,26 @@ std::unique_ptr<InferenceEngine::WorkerSession> InferenceEngine::make_session(
   // the victim's future hanging until more traffic arrives.
   session->batcher.set_expired_handler([this](RequestPtr r) { fail_expired(*r); });
   session->index = worker;
-  session->home_backend = backend;
-  session->backend = backend;
-  // Version snapshot for this session's datapaths. The pool factory takes its
-  // own snapshot, so in cluster mode the board is explicitly re-staged below
-  // from THIS snapshot — the recorded version and the board's weights can
-  // never disagree even if a commit lands between the two reads.
+  session->home_backend = device.backend;
+  session->backend = device.backend;
   std::shared_ptr<const ModelVersion> ver;
   {
     std::lock_guard lk(swap_mu_);
     ver = active_version_ptr_;
   }
-  const hls::MhsaDesignPoint point = datapath_point(backend);
-  if (cluster()) {
-    session->device = &device_pool_->rebuild(worker);
-    if (session->device->has_accelerator()) {
-      session->accel = &session->device->accelerator();
-      session->accel->swap_ip(std::make_unique<hls::MhsaIpCore>(point, ver->weights));
-      session->accel->set_deadline(config_.fault.deadline);
-    }
-  }
-  if (is_cpu(backend)) {
-    session->cpu_ip = std::make_unique<hls::MhsaIpCore>(point, ver->weights);
-  } else if (!cluster()) {
-    session->ddr = std::make_unique<rt::DdrMemory>();
-    session->accel_owned = std::make_unique<rt::MhsaAccelerator>(
-        std::make_unique<hls::MhsaIpCore>(point, ver->weights), *session->ddr);
-    session->accel = session->accel_owned.get();
+  // The board is built once, from this snapshot: the recorded version and
+  // the board's weights never disagree. A respawn rebuilds it from scratch
+  // (fresh DDR, board counters at zero) exactly like the initial bring-up.
+  auto ip = std::make_unique<hls::MhsaIpCore>(datapath_point(device.backend), ver->weights);
+  if (is_cpu(device.backend)) session->cpu_ip = std::move(ip);  // host-only board
+  rt::BoardConfig board;
+  board.name = device.name;
+  board.clock_mhz = device.clock_mhz;
+  board.dma_beat_bytes = device.dma_beat_bytes;
+  board.ddr_bytes = device.ddr_bytes;
+  session->board = std::make_unique<rt::SimulatedDevice>(std::move(board), std::move(ip));
+  if (session->board->has_accelerator()) {
+    session->accel = &session->board->accelerator();
     session->accel->set_deadline(config_.fault.deadline);
   }
   session->staged_version = std::move(ver);
@@ -194,7 +176,8 @@ hls::MhsaDesignPoint InferenceEngine::datapath_point(Backend backend) const {
 }
 
 InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& weights)
-    : config_(validated(std::move(config))),
+    : routed_(!config.devices.empty()),
+      config_(validated(std::move(config))),
       registry_(config_.point, weights),
       queue_(config_.queue_capacity, config_.policy),
       admission_(config_.admission),
@@ -217,11 +200,30 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
     wait_hist.observe(static_cast<double>(wait_us));
     admission_.record_wait(wait_us);
   };
-  if (config_.devices.empty()) {
+  const std::size_t n = config_.devices.size();
+  device_stats_.resize(n);
+  device_metrics_.reserve(n);
+  auto& reg = obs::Registry::instance();
+  for (std::size_t i = 0; i < n; ++i) {
+    const DeviceConfig& d = config_.devices[i];
+    device_stats_[i].backend = to_string(d.backend);
+    const std::string prefix = "serve.device." + d.name + ".";
+    DeviceMetrics m;
+    m.routed = &reg.counter(prefix + "routed");
+    m.batches = &reg.counter(prefix + "batches");
+    m.rows = &reg.counter(prefix + "rows");
+    m.breaker_opens = &reg.counter(prefix + "breaker_opens");
+    m.breaker_probes = &reg.counter(prefix + "breaker_probes");
+    m.breaker_reopens = &reg.counter(prefix + "breaker_reopens");
+    m.breaker_closes = &reg.counter(prefix + "breaker_closes");
+    m.breaker_open = &reg.gauge(prefix + "breaker_open");
+    device_metrics_.push_back(m);
+  }
+  if (!routed_) {
     queue_.set_wait_observer(wait_observer);
   } else {
-    // Cluster mode: only the device-queue pops feed the observer. Their wait
-    // is still measured from submit (the device pop overwrites the router's
+    // Only the device-queue pops feed the observer. Their wait is still
+    // measured from submit (the device pop overwrites the router's
     // central-pop stamp), so CoDel keys on the full standing delay — wiring
     // the central queue too would flood it with the router's near-zero
     // drain latency and mask real overload.
@@ -229,7 +231,6 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
                                        ? config_.router.device_queue_capacity
                                        : config_.queue_capacity;
     std::vector<ClusterRouter::DeviceSeed> seeds;
-    std::vector<rt::BoardConfig> boards;
     const hls::CycleModel cycle_model;
     for (const DeviceConfig& d : config_.devices) {
       auto q = std::make_unique<RequestQueue>(device_cap, BackpressurePolicy::kBlock);
@@ -238,58 +239,15 @@ InferenceEngine::InferenceEngine(EngineConfig config, const hls::MhsaWeights& we
       // Seed the router's cost model with the analytic cycle estimate paid at
       // this board's clock (µs = cycles ÷ MHz). CPU boards start from the
       // same figure and converge to wall time through the EWMA.
-      hls::MhsaDesignPoint point = config_.point;
-      point.dtype = d.backend == Backend::kFpgaFixed || d.backend == Backend::kCpuQuant
-                        ? hls::DataType::kFixed
-                        : hls::DataType::kFloat32;
       const double est_us_per_row =
-          static_cast<double>(cycle_model.estimate(point).total()) / d.clock_mhz;
+          static_cast<double>(cycle_model.estimate(datapath_point(d.backend)).total()) /
+          d.clock_mhz;
       seeds.push_back(ClusterRouter::DeviceSeed{d.name, est_us_per_row});
-      rt::BoardConfig board;
-      board.name = d.name;
-      board.clock_mhz = d.clock_mhz;
-      board.dma_beat_bytes = d.dma_beat_bytes;
-      board.ddr_bytes = d.ddr_bytes;
-      boards.push_back(std::move(board));
     }
     router_ = std::make_unique<ClusterRouter>(std::move(seeds), config_.router);
-    device_pool_ = std::make_unique<rt::DevicePool>(
-        std::move(boards),
-        [this](std::size_t i, const rt::BoardConfig&) -> std::unique_ptr<hls::MhsaIpCore> {
-          const Backend backend = config_.devices[i].backend;
-          if (is_cpu(backend)) return nullptr;  // host-only board
-          std::shared_ptr<const ModelVersion> ver;
-          {
-            std::lock_guard lk(swap_mu_);
-            ver = active_version_ptr_;
-          }
-          return std::make_unique<hls::MhsaIpCore>(datapath_point(backend), ver->weights);
-        });
-    device_stats_.resize(config_.devices.size());
-    device_metrics_.reserve(config_.devices.size());
-    auto& reg = obs::Registry::instance();
-    for (std::size_t i = 0; i < config_.devices.size(); ++i) {
-      device_stats_[i].backend = to_string(config_.devices[i].backend);
-      const std::string prefix = "serve.device." + config_.devices[i].name + ".";
-      DeviceMetrics m;
-      m.routed = &reg.counter(prefix + "routed");
-      m.batches = &reg.counter(prefix + "batches");
-      m.rows = &reg.counter(prefix + "rows");
-      m.breaker_opens = &reg.counter(prefix + "breaker_opens");
-      m.breaker_probes = &reg.counter(prefix + "breaker_probes");
-      m.breaker_reopens = &reg.counter(prefix + "breaker_reopens");
-      m.breaker_closes = &reg.counter(prefix + "breaker_closes");
-      m.breaker_open = &reg.gauge(prefix + "breaker_open");
-      device_metrics_.push_back(m);
-    }
   }
-  sessions_.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w) {
-    const Backend backend = cluster() ? config_.devices[w].backend
-                            : config_.worker_backends.empty() ? config_.backend
-                                                              : config_.worker_backends[w];
-    sessions_.push_back(make_session(backend, w));
-  }
+  sessions_.reserve(n);
+  for (std::size_t w = 0; w < n; ++w) sessions_.push_back(make_session(w));
   // Worker loops ride on a private ThreadPool: the dispatcher thread posts
   // one long-lived chunk per session and participates itself, leaving the
   // global pool free for the kernels' parallel_for calls.
@@ -368,11 +326,11 @@ std::future<Tensor> InferenceEngine::submit(Tensor input, SubmitOptions opts) {
   // Admission control: when the standing queue delay is past target, shed
   // lowest-priority first instead of queueing work that will expire anyway.
   // The "serve.overload.shed" site forces this on a deterministic schedule.
-  // In cluster mode the standing queue is the central queue PLUS everything
+  // With a router the standing queue is the central queue PLUS everything
   // routed but not yet resolved, so buffered device queues can't hide depth.
   const std::size_t standing_depth =
       queue_.size() +
-      (router_ ? static_cast<std::size_t>(router_->pending_requests_total()) : 0);
+      (cluster() ? static_cast<std::size_t>(router_->pending_requests_total()) : 0);
   if (fault::fire("serve.overload.shed") ||
       !admission_.admit(opts.priority, standing_depth)) {
     shed_.fetch_add(1, std::memory_order_relaxed);
@@ -457,7 +415,7 @@ void InferenceEngine::abandon_device(std::size_t worker) {
 }
 
 void InferenceEngine::note_resolved(const Request& r) {
-  if (router_ && r.routed_device >= 0) {
+  if (cluster() && r.routed_device >= 0) {
     router_->on_resolved(static_cast<std::size_t>(r.routed_device), r.input.dim(0));
   }
 }
@@ -499,19 +457,22 @@ void InferenceEngine::worker_loop(std::size_t worker) {
       if (RequestPtr carry = session.batcher.take_carry()) held.push_back(std::move(carry));
       salvage_requests(*session.source, held, std::current_exception());
       // Salvage first, then dump: the crashed requests' requeue/fail events
-      // belong in the artifact. The dying session's device counters must not
-      // vanish with it.
-      absorb_device_counters(session);
+      // belong in the artifact. (The board's counters are already in its
+      // stats slot: record_execute drains them after every execute.)
       obs::FlightRecorder::instance().dump("worker_crash");
       try {
-        sessions_[worker] = make_session(session.home_backend, worker);
+        sessions_[worker] = make_session(worker);
       } catch (...) {
         // Respawn itself failed (e.g. out of memory building the IP). Give
         // up this worker slot; the remaining workers keep draining, and the
-        // salvage above already resolved everything this worker held. In
-        // cluster mode nobody else drains this device's queue, so the device
-        // is marked lost and its queued requests are failed explicitly.
+        // salvage above already resolved everything this worker held. With a
+        // router nobody else drains this device's queue, so its queued
+        // requests are failed explicitly.
         obs::Registry::instance().counter("serve.worker_lost").add();
+        {
+          std::lock_guard lk(stats_mu_);
+          device_stats_[worker].lost = true;
+        }
         if (cluster()) abandon_device(worker);
         return;
       }
@@ -606,8 +567,14 @@ Tensor InferenceEngine::run_attempt(WorkerSession& session, const Tensor& input)
   if (is_cpu(session.backend)) {
     return session.cpu_ip->run(input);
   }
-  Tensor output = session.accel->execute(input);
-  sim_cycles_.fetch_add(session.accel->last_cycles(), std::memory_order_relaxed);
+  Tensor output;
+  try {
+    output = session.accel->execute(input);
+  } catch (...) {
+    record_execute(session, 0);  // stall cycles, DMA of a START that faulted late
+    throw;
+  }
+  record_execute(session, session.accel->last_cycles());
   return output;
 }
 
@@ -617,7 +584,6 @@ void InferenceEngine::demote_to_cpu(WorkerSession& session) {
       .counter(std::string("serve.fallbacks.") + to_string(session.home_backend))
       .add();
   fallbacks.add();
-  fallbacks_.fetch_add(1, std::memory_order_relaxed);
   if (!session.cpu_ip) {
     // Built from the SESSION's staged version, not the registry's current
     // active: a demotion (or half-open probe) that lands mid-swap must keep
@@ -639,38 +605,78 @@ void InferenceEngine::maybe_probe(WorkerSession& session) {
   // breaker; another device fault re-opens it with a longer cooldown (the
   // request is not lost either way — a failed probe falls back within the
   // same recovery loop).
-  breaker_probes_.fetch_add(1, std::memory_order_relaxed);
-  obs::Registry::instance().counter("serve.breaker.half_open").add();
-  obs::flight_event(0, obs::FlightKind::kBreakerProbe, static_cast<std::int64_t>(session.index));
-  if (cluster()) {
-    device_metrics_[session.index].breaker_probes->add();
-    std::lock_guard lk(devices_mu_);
-    device_stats_[session.index].breaker_probes += 1;
-  }
+  note_breaker(session, BreakerTransition::kProbe);
   session.backend = session.home_backend;
 }
 
 void InferenceEngine::note_device_success(WorkerSession& session) {
-  static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
   if (session.breaker.on_success() == CircuitBreaker::Event::kClosed) {
-    breaker_closes_.fetch_add(1, std::memory_order_relaxed);
-    obs::Registry::instance().counter("serve.breaker.close").add();
-    obs::flight_event(0, obs::FlightKind::kBreakerClose, static_cast<std::int64_t>(session.index));
-    state_gauge.set(static_cast<double>(
-        open_breakers_.fetch_sub(1, std::memory_order_relaxed) - 1));
-    if (cluster()) {
-      router_->on_breaker_close(session.index);
-      device_metrics_[session.index].breaker_closes->add();
-      device_metrics_[session.index].breaker_open->set(0.0);
-      std::lock_guard lk(devices_mu_);
-      device_stats_[session.index].breaker_closes += 1;
+    note_breaker(session, BreakerTransition::kClose);
+  }
+}
+
+void InferenceEngine::note_breaker(WorkerSession& session, BreakerTransition transition) {
+  static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
+  const std::size_t d = session.index;
+  const DeviceMetrics& m = device_metrics_[d];
+  std::uint64_t open_boards = 0;
+  {
+    std::lock_guard lk(stats_mu_);
+    DeviceStats& slot = device_stats_[d];
+    switch (transition) {
+      case BreakerTransition::kOpen: slot.breaker_opens += 1; break;
+      case BreakerTransition::kProbe: slot.breaker_probes += 1; break;
+      case BreakerTransition::kReopen: slot.breaker_reopens += 1; break;
+      case BreakerTransition::kClose: slot.breaker_closes += 1; break;
+    }
+    if (transition != BreakerTransition::kProbe) {
+      slot.breaker_open = transition != BreakerTransition::kClose;
+    }
+    for (const DeviceStats& ds : device_stats_) open_boards += ds.breaker_open ? 1 : 0;
+  }
+  auto& reg = obs::Registry::instance();
+  const auto worker = static_cast<std::int64_t>(d);
+  switch (transition) {
+    case BreakerTransition::kOpen:
+      m.breaker_opens->add();
+      reg.counter("serve.breaker.open").add();
+      obs::flight_event(0, obs::FlightKind::kBreakerOpen, worker);
+      break;
+    case BreakerTransition::kProbe:
+      m.breaker_probes->add();
+      reg.counter("serve.breaker.half_open").add();
+      obs::flight_event(0, obs::FlightKind::kBreakerProbe, worker);
+      return;  // still open until the probe batch resolves
+    case BreakerTransition::kReopen:
+      m.breaker_reopens->add();
+      reg.counter("serve.breaker.reopen").add();
+      obs::flight_event(0, obs::FlightKind::kBreakerOpen, worker);
+      break;
+    case BreakerTransition::kClose:
+      m.breaker_closes->add();
+      reg.counter("serve.breaker.close").add();
+      obs::flight_event(0, obs::FlightKind::kBreakerClose, worker);
+      break;
+  }
+  const bool open = transition != BreakerTransition::kClose;
+  m.breaker_open->set(open ? 1.0 : 0.0);
+  state_gauge.set(static_cast<double>(open_boards));
+  if (cluster()) {
+    // Steer the router away for the cooldown the breaker just entered;
+    // pick() readmits the device when it elapses so the probe gets traffic.
+    if (open) {
+      router_->on_breaker_open(d, session.breaker.current_cooldown_us());
+    } else {
+      router_->on_breaker_close(d);
     }
   }
+  // Breaker-open is a wired dump trigger: the device's fault run-up is still
+  // in the rings.
+  if (transition == BreakerTransition::kOpen) obs::FlightRecorder::instance().dump("breaker_open");
 }
 
 Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBatch& batch) {
   static auto& retry_latency = obs::Registry::instance().histogram("serve.retry_latency_us");
-  static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
   maybe_probe(session);
   const auto t0 = std::chrono::steady_clock::now();
   std::int64_t backoff_us = config_.fault.backoff_us;
@@ -717,42 +723,12 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
         // CPU replica has seen no fault yet).
         switch (session.breaker.on_fault()) {
           case CircuitBreaker::Event::kOpened:
-            breaker_opens_.fetch_add(1, std::memory_order_relaxed);
-            obs::Registry::instance().counter("serve.breaker.open").add();
-            state_gauge.set(static_cast<double>(
-                open_breakers_.fetch_add(1, std::memory_order_relaxed) + 1));
-            obs::flight_event(0, obs::FlightKind::kBreakerOpen,
-                              static_cast<std::int64_t>(session.index));
-            if (cluster()) {
-              // Steer the router away for the cooldown the breaker just
-              // entered; pick() readmits the device when it elapses so the
-              // half-open probe gets traffic.
-              router_->on_breaker_open(session.index,
-                                       session.breaker.current_cooldown_us());
-              device_metrics_[session.index].breaker_opens->add();
-              device_metrics_[session.index].breaker_open->set(1.0);
-              std::lock_guard lk(devices_mu_);
-              device_stats_[session.index].breaker_opens += 1;
-            }
-            // Breaker-open is a wired dump trigger: the device's fault run-up
-            // is still in the rings.
-            obs::FlightRecorder::instance().dump("breaker_open");
+            note_breaker(session, BreakerTransition::kOpen);
             demote_to_cpu(session);
             continue;
           case CircuitBreaker::Event::kReopened:
             // The half-open probe faulted: back to CPU, longer cooldown.
-            breaker_reopens_.fetch_add(1, std::memory_order_relaxed);
-            obs::Registry::instance().counter("serve.breaker.reopen").add();
-            obs::flight_event(0, obs::FlightKind::kBreakerOpen,
-                              static_cast<std::int64_t>(session.index));
-            if (cluster()) {
-              router_->on_breaker_open(session.index,
-                                       session.breaker.current_cooldown_us());
-              device_metrics_[session.index].breaker_reopens->add();
-              device_metrics_[session.index].breaker_open->set(1.0);
-              std::lock_guard lk(devices_mu_);
-              device_stats_[session.index].breaker_reopens += 1;
-            }
+            note_breaker(session, BreakerTransition::kReopen);
             demote_to_cpu(session);
             continue;
           default:
@@ -761,13 +737,12 @@ Tensor InferenceEngine::run_with_recovery(WorkerSession& session, const MicroBat
       }
       if (!e.transient() || attempt >= config_.fault.max_retries) throw;
       ++attempt;
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      static auto& retries = obs::Registry::instance().counter("serve.retries");
-      retries.add();
-      if (cluster()) {
-        std::lock_guard lk(devices_mu_);
+      {
+        std::lock_guard lk(stats_mu_);
         device_stats_[session.index].retries += 1;
       }
+      static auto& retries = obs::Registry::instance().counter("serve.retries");
+      retries.add();
       obs::Registry::instance()
           .counter(std::string("serve.retries.") + to_string(session.backend))
           .add();
@@ -845,8 +820,13 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
   rows.add(batch.rows());
   occupancy.observe(100.0 * static_cast<double>(batch.rows()) /
                     static_cast<double>(config_.batcher.max_batch));
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  rows_.fetch_add(static_cast<std::uint64_t>(batch.rows()), std::memory_order_relaxed);
+  device_metrics_[session.index].batches->add();
+  device_metrics_[session.index].rows->add(batch.rows());
+  {
+    std::lock_guard lk(stats_mu_);
+    device_stats_[session.index].batches += 1;
+    device_stats_[session.index].rows += static_cast<std::uint64_t>(batch.rows());
+  }
   for (const BatchSlice& slice : batch.slices) {
     if (slice.request->failed) continue;
     // Flow step bound to the enclosing serve.batch span on this worker's
@@ -890,8 +870,8 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
       // current clock), wall time for CPU(-fallback) batches — so a
       // throttled or demoted device drifts expensive and traffic rebalances.
       double us_per_row;
-      if (!on_canary && !is_cpu(session.backend) && session.accel) {
-        us_per_row = session.device->cycles_to_us(session.accel->last_cycles()) /
+      if (!on_canary && !is_cpu(session.backend)) {
+        us_per_row = session.board->cycles_to_us(session.accel->last_cycles()) /
                      static_cast<double>(batch.rows());
       } else {
         us_per_row = static_cast<double>(
@@ -901,16 +881,9 @@ void InferenceEngine::process_batch(WorkerSession& session, MicroBatch& batch) {
                      static_cast<double>(batch.rows());
       }
       router_->observe(session.index, us_per_row);
-      device_metrics_[session.index].batches->add();
-      device_metrics_[session.index].rows->add(batch.rows());
-      std::lock_guard lk(devices_mu_);
-      device_stats_[session.index].batches += 1;
-      device_stats_[session.index].rows += static_cast<std::uint64_t>(batch.rows());
     }
     finish_rows(batch, output);
-    absorb_device_counters(session);
   } catch (...) {
-    absorb_device_counters(session);
     // Requests whose deadline ran out while the batch was failing resolve
     // as expired, not as casualties of the device error.
     const std::size_t live = shed_expired_slices(batch);
@@ -1006,13 +979,12 @@ void InferenceEngine::finish_rows(const MicroBatch& batch, const Tensor& output)
   }
 }
 
-void InferenceEngine::absorb_device_counters(WorkerSession& session) {
-  if (!session.accel) return;
+void InferenceEngine::record_execute(WorkerSession& session, std::int64_t sim_cycles) {
   const rt::DeviceCounters delta = session.accel->take_counters();
-  if (delta.total_cycles() == 0 && delta.starts == 0 && delta.stalls == 0) return;
-  std::lock_guard lk(devices_mu_);
-  devices_[to_string(session.home_backend)] += delta;
-  if (cluster()) device_stats_[session.index].counters += delta;
+  std::lock_guard lk(stats_mu_);
+  DeviceStats& slot = device_stats_[session.index];
+  slot.counters += delta;
+  slot.sim_cycles += sim_cycles;
 }
 
 void InferenceEngine::fail_batch(MicroBatch& batch, std::exception_ptr error) {
@@ -1357,7 +1329,7 @@ void InferenceEngine::shutdown() {
   std::lock_guard lk(shutdown_mu_);
   stopped_.store(true, std::memory_order_relaxed);
   queue_.close();
-  // Cluster: the router drains the central queue, then closes the device
+  // With a router: it drains the central queue, then closes the device
   // queues itself — joining it first guarantees the workers see closed
   // queues and drain everything already routed.
   if (router_thread_.joinable()) router_thread_.join();
@@ -1373,36 +1345,36 @@ EngineStats InferenceEngine::stats() const {
   s.expired = expired_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.rows = rows_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.fallbacks = fallbacks_.load(std::memory_order_relaxed);
   s.respawns = respawns_.load(std::memory_order_relaxed);
-  s.breaker_opens = breaker_opens_.load(std::memory_order_relaxed);
-  s.breaker_probes = breaker_probes_.load(std::memory_order_relaxed);
-  s.breaker_reopens = breaker_reopens_.load(std::memory_order_relaxed);
-  s.breaker_closes = breaker_closes_.load(std::memory_order_relaxed);
-  s.open_breakers = open_breakers_.load(std::memory_order_relaxed);
   s.queue_wait_p50_us = queue_wait_us_.percentile(50);
   s.queue_wait_p95_us = queue_wait_us_.percentile(95);
   s.queue_wait_p99_us = queue_wait_us_.percentile(99);
-  s.sim_cycles = sim_cycles_.load(std::memory_order_relaxed);
   {
-    // Workers absorb their accelerator's counters after every batch, so this
-    // never touches sessions_ (which respawns mutate concurrently).
-    std::lock_guard lk(devices_mu_);
-    s.devices = devices_;
-    if (router_) {
-      for (std::size_t d = 0; d < device_stats_.size(); ++d) {
-        DeviceStats ds = device_stats_[d];
-        ds.breaker_open = router_->breaker_open(d);
-        ds.lost = router_->lost(d);
+    std::lock_guard lk(stats_mu_);
+    for (std::size_t d = 0; d < device_stats_.size(); ++d) {
+      DeviceStats ds = device_stats_[d];
+      s.batches += ds.batches;
+      s.rows += ds.rows;
+      s.retries += ds.retries;
+      s.breaker_opens += ds.breaker_opens;
+      s.breaker_probes += ds.breaker_probes;
+      s.breaker_reopens += ds.breaker_reopens;
+      s.breaker_closes += ds.breaker_closes;
+      s.open_breakers += ds.breaker_open ? 1 : 0;
+      s.sim_cycles += ds.sim_cycles;
+      const rt::DeviceCounters& c = ds.counters;
+      if (c.starts != 0 || c.stalls != 0 || c.total_cycles() != 0) {
+        s.devices[ds.backend] += c;
+      }
+      if (cluster()) {
         ds.pending_rows = router_->pending_rows(d);
         ds.est_us_per_row = router_->us_per_row(d);
-        s.device_stats.emplace(router_->name(d), std::move(ds));
       }
+      s.device_stats.emplace(config_.devices[d].name, std::move(ds));
     }
   }
+  // Every open and every reopen demotes the board to the CPU datapath.
+  s.fallbacks = s.breaker_opens + s.breaker_reopens;
   s.slo = slo_.snapshot();
   s.swap = swap_stats();
   {

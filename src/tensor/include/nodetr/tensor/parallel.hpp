@@ -20,7 +20,8 @@ namespace nodetr::tensor {
 /// Persistent pool of worker threads executing blocking fork-join tasks.
 class ThreadPool {
  public:
-  /// `num_threads == 0` selects hardware_concurrency(); 1 means serial.
+  /// `num_threads == 0` selects the CPU count of the calling thread's
+  /// affinity mask; 1 means serial.
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

@@ -1,5 +1,7 @@
 #include "nodetr/tensor/parallel.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 
 #include "nodetr/obs/obs.hpp"
@@ -15,12 +17,23 @@ namespace {
 thread_local const ThreadPool* t_active_pool = nullptr;
 
 constexpr index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
+
+/// CPUs the calling thread may run on: its affinity mask, which
+/// hardware_concurrency() ignores (a process confined with `taskset -c 0`
+/// would otherwise fork one worker per host CPU onto a single core).
+std::size_t available_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int n = CPU_COUNT(&mask);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+  return std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+}
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-  }
+  if (num_threads == 0) num_threads = available_cpus();
   // The calling thread participates, so spawn n-1 workers.
   for (std::size_t i = 1; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

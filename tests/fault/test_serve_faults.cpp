@@ -306,3 +306,97 @@ TEST_F(ServeFaultTest, ShutdownDrainsUnderFaults) {
     }
   }
 }
+
+// ------------------------------------------------------ stats, once each ----
+
+namespace {
+
+/// Serves a wave of requests into a DMA-error storm and, each time the breaker
+/// cooldown has passed, another wave that probes the healed boards; then
+/// checks that every engine-wide tally is exactly the sum of the board slots.
+void expect_stats_counted_once(serve::InferenceEngine& engine, nt::Rng& rng,
+                               const hls::MhsaDesignPoint& point, std::size_t boards) {
+  std::vector<std::future<nt::Tensor>> futures;
+  for (int wave = 0; wave < 3; ++wave) {
+    for (int i = 0; i < 24; ++i) {
+      futures.push_back(
+          engine.submit(rng.rand(nt::Shape{1, point.dim, point.height, point.width})));
+    }
+    ASSERT_TRUE(all_ready_within(futures, std::chrono::seconds(60)));
+    // Longer than the cooldown, even after two doublings by failed probes.
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  engine.shutdown();
+  const serve::EngineStats s = engine.stats();
+  ASSERT_EQ(s.device_stats.size(), boards);
+  EXPECT_GE(s.breaker_opens, 1u) << "the storm must open at least one breaker";
+  EXPECT_GT(s.retries, 0u);
+
+  serve::DeviceStats sum;
+  std::uint64_t open = 0;
+  for (const auto& [name, ds] : s.device_stats) {
+    EXPECT_EQ(ds.backend, "fpga_float") << name;
+    sum.batches += ds.batches;
+    sum.rows += ds.rows;
+    sum.retries += ds.retries;
+    sum.breaker_opens += ds.breaker_opens;
+    sum.breaker_probes += ds.breaker_probes;
+    sum.breaker_reopens += ds.breaker_reopens;
+    sum.breaker_closes += ds.breaker_closes;
+    sum.sim_cycles += ds.sim_cycles;
+    sum.counters += ds.counters;
+    open += ds.breaker_open ? 1 : 0;
+  }
+  EXPECT_EQ(s.batches, sum.batches);
+  EXPECT_EQ(s.rows, sum.rows);
+  EXPECT_EQ(s.retries, sum.retries);
+  EXPECT_EQ(s.fallbacks, sum.breaker_opens + sum.breaker_reopens);
+  EXPECT_EQ(s.breaker_opens, sum.breaker_opens);
+  EXPECT_EQ(s.breaker_probes, sum.breaker_probes);
+  EXPECT_EQ(s.breaker_reopens, sum.breaker_reopens);
+  EXPECT_EQ(s.breaker_closes, sum.breaker_closes);
+  EXPECT_EQ(s.open_breakers, open);
+  EXPECT_EQ(s.sim_cycles, sum.sim_cycles);
+
+  ASSERT_EQ(s.devices.size(), 1u);
+  const rt::DeviceCounters& agg = s.devices.at("fpga_float");
+  EXPECT_GT(agg.starts, 0);
+  EXPECT_EQ(agg.starts, sum.counters.starts);
+  EXPECT_EQ(agg.stalls, sum.counters.stalls);
+  EXPECT_EQ(agg.dma_bytes_in, sum.counters.dma_bytes_in);
+  EXPECT_EQ(agg.dma_bytes_out, sum.counters.dma_bytes_out);
+  EXPECT_EQ(agg.weight_bytes, sum.counters.weight_bytes);
+  EXPECT_EQ(agg.weight_bytes_float, sum.counters.weight_bytes_float);
+  EXPECT_EQ(agg.weight_bytes_saved, sum.counters.weight_bytes_saved);
+  EXPECT_EQ(agg.dma_cycles, sum.counters.dma_cycles);
+  EXPECT_EQ(agg.compute_cycles, sum.counters.compute_cycles);
+  EXPECT_EQ(agg.stall_cycles, sum.counters.stall_cycles);
+}
+
+}  // namespace
+
+TEST_F(ServeFaultTest, StatsAreSumsOfBoardSlotsWithoutDevices) {
+  // Four failed STARTs before the storm clears: with at most three boards,
+  // one of them sees two in a row and opens its breaker.
+  fault::Injector::instance().arm("rt.dma.error", fault::Schedule::always(4));
+  serve::EngineConfig cfg = config(serve::Backend::kFpgaFloat, /*workers=*/2);
+  cfg.fault.max_retries = 8;
+  cfg.breaker.open_after = 2;
+  cfg.breaker.cooldown_us = 1'000;
+  serve::InferenceEngine engine(cfg, weights());
+  expect_stats_counted_once(engine, rng_, point_, 2);
+  EXPECT_EQ(engine.stats().device_stats.count("dev1"), 1u);
+}
+
+TEST_F(ServeFaultTest, StatsAreSumsOfBoardSlotsInAFleet) {
+  // Four failed STARTs before the storm clears: with at most three boards,
+  // one of them sees two in a row and opens its breaker.
+  fault::Injector::instance().arm("rt.dma.error", fault::Schedule::always(4));
+  serve::EngineConfig cfg = config(serve::Backend::kCpuFloat);
+  cfg.devices.resize(3);  // default boards: kFpgaFloat, named dev0..dev2
+  cfg.fault.max_retries = 8;
+  cfg.breaker.open_after = 2;
+  cfg.breaker.cooldown_us = 1'000;
+  serve::InferenceEngine engine(cfg, weights());
+  expect_stats_counted_once(engine, rng_, point_, 3);
+}

@@ -27,6 +27,20 @@ TEST(Ddr, OutOfRangeAccessThrows) {
   EXPECT_THROW(ddr.read_tensor(1020, nt::Shape{2}), std::out_of_range);
 }
 
+TEST(Ddr, FreshMemoryReadsZeroEverywhere) {
+  rt::DdrMemory ddr;  // the 64 MiB board default
+  ASSERT_EQ(ddr.size(), std::size_t{64} << 20);
+  for (std::uint64_t addr : {std::uint64_t{0}, std::uint64_t{4096} * 7 + 13,
+                             std::uint64_t{1} << 25, (std::uint64_t{64} << 20) - 8}) {
+    std::uint64_t word = ~std::uint64_t{0};
+    ddr.read(addr, &word, sizeof(word));
+    EXPECT_EQ(word, 0u) << "addr " << addr;
+  }
+  std::uint64_t word = 0;
+  EXPECT_THROW(ddr.read(ddr.size() - 4, &word, sizeof(word)), std::out_of_range);
+  EXPECT_THROW(ddr.write(ddr.size(), &word, 1), std::out_of_range);
+}
+
 TEST(Dma, TransferCyclesModel) {
   // setup + ceil(bytes/4) beats.
   EXPECT_EQ(rt::AxiStreamDma::transfer_cycles(0), 120);

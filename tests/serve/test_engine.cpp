@@ -207,7 +207,7 @@ TEST(EngineQuant, CpuQuantStaysCloseToFloatBackend) {
 TEST(EngineQuant, MixedWorkerBackendsServeConcurrently) {
   EngineFixture fx_;
   serve::EngineConfig config = fx_.config(serve::Backend::kCpuFloat, 2, 32);
-  config.worker_backends = {serve::Backend::kCpuFloat, serve::Backend::kCpuQuant};
+  config.devices = {{"float", serve::Backend::kCpuFloat}, {"quant", serve::Backend::kCpuQuant}};
   serve::InferenceEngine engine(config, fx_.weights());
   std::vector<std::future<nt::Tensor>> futures;
   for (int i = 0; i < 16; ++i) {
@@ -294,7 +294,15 @@ TEST(Engine, RejectsMismatchedGeometryAndBadConfig) {
   serve::EngineConfig bad = fx_.config(serve::Backend::kCpuFloat, 0, 4);
   EXPECT_THROW(serve::InferenceEngine(bad, fx_.weights()), std::invalid_argument);
   bad = fx_.config(serve::Backend::kCpuFloat, 2, 4);
-  bad.worker_backends = {serve::Backend::kCpuFloat};  // 1 entry, 2 workers
+  bad.devices = {{"board", serve::Backend::kCpuFloat}, {"board", serve::Backend::kFpgaFloat}};
+  EXPECT_THROW(serve::InferenceEngine(bad, fx_.weights()), std::invalid_argument);
+  bad.devices = {{"dev1", serve::Backend::kCpuFloat}, {"", serve::Backend::kCpuFloat}};
+  EXPECT_THROW(serve::InferenceEngine(bad, fx_.weights()), std::invalid_argument);  // "" -> dev1
+  bad.devices = {{"a", serve::Backend::kFpgaFloat}};
+  bad.devices[0].clock_mhz = 0.0;
+  EXPECT_THROW(serve::InferenceEngine(bad, fx_.weights()), std::invalid_argument);
+  bad.devices = {{"a", serve::Backend::kFpgaFloat}};
+  bad.devices[0].dma_beat_bytes = 0;
   EXPECT_THROW(serve::InferenceEngine(bad, fx_.weights()), std::invalid_argument);
 }
 
@@ -317,7 +325,7 @@ TEST(Engine, SplitRequestYieldsFullBatchesAndExactStats) {
 TEST(Engine, MixedFloatWorkerBackendsStayBitwiseExact) {
   EngineFixture fx_;
   serve::EngineConfig config = fx_.config(serve::Backend::kFpgaFloat, 2, 16);
-  config.worker_backends = {serve::Backend::kCpuFloat, serve::Backend::kFpgaFloat};
+  config.devices = {{"cpu", serve::Backend::kCpuFloat}, {"fpga", serve::Backend::kFpgaFloat}};
   serve::InferenceEngine engine(config, fx_.weights());
   hls::MhsaDesignPoint p = fx_.point;
   p.dtype = hls::DataType::kFloat32;

@@ -1,6 +1,7 @@
 #include "nodetr/tensor/parallel.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -30,6 +31,22 @@ TEST(ThreadPool, ReusableAcrossCalls) {
     pool.run_chunks(7, [&](std::size_t) { total++; });
   }
   EXPECT_EQ(total.load(), 35);
+}
+
+TEST(ThreadPool, DefaultSizeFollowsAffinityMask) {
+  // Confine only this thread to one CPU it may already run on; a pool sized
+  // by default must then be serial, whatever the host's core count.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t size = nt::ThreadPool(0).size();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(size, 1u);
 }
 
 TEST(ThreadPool, ZeroChunksIsNoop) {
