@@ -95,11 +95,8 @@ int main(int argc, char** argv) {
     float* p = t->data();
     for (index_t i = 0; i < t->numel(); ++i) p[i] += 0.05f;
   }
-  hls::MhsaDesignPoint point;
-  point.dim = cfg.dim;
-  point.height = cfg.height;
-  point.width = cfg.width;
-  point.heads = cfg.heads;
+  const hls::MhsaDesignPoint point =
+      hls::design_point_of(mhsa, hls::DataType::kFixed, nodetr::fx::scheme_32_24());
 
   serve::InferenceEngine engine(engine_config(point), weights_a);
   const nt::Tensor x = rng.rand(nt::Shape{1, cfg.dim, cfg.height, cfg.width});

@@ -164,11 +164,8 @@ int main(int argc, char** argv) {
   nn::MultiHeadSelfAttention mhsa(cfg, rng);
   mhsa.train(false);
   const auto weights = hls::MhsaWeights::from_module(mhsa);
-  hls::MhsaDesignPoint point;
-  point.dim = cfg.dim;
-  point.height = cfg.height;
-  point.width = cfg.width;
-  point.heads = cfg.heads;
+  const hls::MhsaDesignPoint point =
+      hls::design_point_of(mhsa, hls::DataType::kFixed, nodetr::fx::scheme_32_24());
 
   // Request pool: rows 1..4 so batches split and merge like live traffic.
   std::vector<nt::Tensor> pool;

@@ -5,7 +5,7 @@
 // mild loss at 20(10)-16(4), collapse below.
 #include "common.hpp"
 #include "nodetr/core/lightweight_transformer.hpp"
-#include "nodetr/hls/qexec.hpp"
+#include "nodetr/hls/model_plan.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/train/trainer.hpp"
 
@@ -51,16 +51,16 @@ int main() {
   int i = 0;
   for (const auto& scheme : fx::table8_schemes()) {
     // Full fixed-point inference (Sec. V-B1): EVERY layer executes on the
-    // bit-accurate fixed datapath via the QuantizedExecutor — the functional
+    // bit-accurate fixed datapath of the lowered plan — the functional
     // equivalent of the paper's evaluation where feature maps and weights
     // are fixed point throughout.
-    hls::QuantizedExecutor exec(scheme);
+    const auto plan = hls::lower(model.model(), scheme, nodetr::tensor::Shape{3, 32, 32});
     nodetr::tensor::index_t correct = 0;
     const auto n = static_cast<nodetr::tensor::index_t>(ds.test().size());
     for (nodetr::tensor::index_t begin = 0; begin < n; begin += 32) {
       const auto end = std::min(begin + 32, n);
       auto batch = d::stack(ds.test(), begin, end);
-      auto logits = exec.run(model.model(), batch.images);
+      auto logits = plan.run_fixed(batch.images);
       const auto k = logits.dim(1);
       for (nodetr::tensor::index_t r = 0; r < end - begin; ++r) {
         nodetr::tensor::index_t best = 0;
@@ -71,7 +71,7 @@ int main() {
       }
     }
     const float acc = static_cast<float>(correct) / static_cast<float>(n);
-    const auto logits = exec.run(model.model(), probe.images);
+    const auto logits = plan.run_fixed(probe.images);
     std::printf("  %-16s %9.1f%% %9.1f%% %12.5f %12.5f\n", scheme.to_string().c_str(),
                 100.0f * acc, paper[i], nodetr::tensor::mean_abs_diff(logits, ref_logits),
                 nodetr::tensor::max_abs_diff(logits, ref_logits));

@@ -8,7 +8,6 @@
 
 #include "nodetr/core/lightweight_transformer.hpp"
 #include "nodetr/hls/model_plan.hpp"
-#include "nodetr/hls/qexec.hpp"
 #include "nodetr/nn/summary.hpp"
 #include "nodetr/tensor/ops.hpp"
 
@@ -38,14 +37,16 @@ int main(int argc, char** argv) {
   std::printf("full-model fixed-point inference vs float software:\n");
   std::printf("  %-14s %14s %14s\n", "scheme", "mean|dlogit|", "max|dlogit|");
   for (const auto& scheme : fx::table8_schemes()) {
-    hls::QuantizedExecutor exec(scheme);
-    auto q = exec.run(model.model(), batch.images);
+    const auto plan = hls::lower(model.model(), scheme, nt::Shape{3, 32, 32});
+    auto q = plan.run_fixed(batch.images);
     std::printf("  %-14s %14.6f %14.6f\n", scheme.to_string().c_str(),
                 nt::mean_abs_diff(q, ref), nt::max_abs_diff(q, ref));
   }
 
-  const auto plan = hls::plan_proposed_model(96, 6, 128);
-  std::printf("\nprojected full-model PL latency at paper scale: %.1f ms/inference\n",
-              plan.total_ms());
+  // The same lowering costs the model on the PL (independent of the scheme);
+  // bench_future_fullmodel does this at paper scale.
+  const auto plan = hls::lower(model.model(), fx::scheme_32_24(), nt::Shape{3, 32, 32});
+  std::printf("\nprojected full-model PL latency of this model: %.2f ms/inference\n",
+              plan.cost().total_ms());
   return 0;
 }

@@ -61,12 +61,7 @@ std::unique_ptr<rt::OffloadedModel> LightweightTransformer::offload(
 }
 
 hls::MhsaDesignPoint LightweightTransformer::design_point(hls::DataType dtype) const {
-  hls::MhsaDesignPoint point;
-  point.dim = options_.mhsa_bottleneck;
-  point.height = point.width = model_->final_spatial();
-  point.heads = options_.mhsa_heads;
-  point.dtype = dtype;
-  return point;
+  return hls::design_point_of(model_->mhsa_block()->mhsa(), dtype, fx::scheme_32_24());
 }
 
 hls::ResourceUsage LightweightTransformer::estimate_resources(hls::DataType dtype) const {

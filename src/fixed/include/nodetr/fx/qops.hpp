@@ -31,10 +31,10 @@ namespace nodetr::fx {
 /// own format before use (e.g. the 1/sqrt(D_h) attention scaling).
 [[nodiscard]] FixedTensor qscale(const FixedTensor& a, float scale);
 
-/// Row-wise LayerNorm over the last axis of a rank-2 tensor, with learned
-/// gain/bias in the parameter format. Mean/variance accumulate exactly; the
-/// reciprocal square root uses a float approximation of the hardware's
-/// iterative rsqrt, then requantizes (documented substitution).
+/// Row-wise LayerNorm over the last axis (the other axes index the rows),
+/// with learned gain/bias in the parameter format. Mean/variance accumulate
+/// exactly; the reciprocal square root uses a float approximation of the
+/// hardware's iterative rsqrt, then requantizes (documented substitution).
 [[nodiscard]] FixedTensor qlayernorm_rows(const FixedTensor& x, const FixedTensor& gamma,
                                           const FixedTensor& beta, float eps = 1e-5f);
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "wide.hpp"
+
 namespace nodetr::fx {
 
 double FixedFormat::resolution() const { return std::ldexp(1.0, -frac_bits()); }
@@ -74,10 +76,7 @@ std::int64_t convert_raw(std::int64_t raw, const FixedFormat& from, const FixedF
     if (r < -limit) return to.raw_min();
     r <<= shift;
   } else if (shift < 0) {
-    // Narrowing: round to nearest (add half LSB before arithmetic shift).
-    const int s = -shift;
-    const std::int64_t half = std::int64_t{1} << (s - 1);
-    r = (r + (r >= 0 ? half : half - 1)) >> s;
+    r = static_cast<std::int64_t>(rescale(r, from.frac_bits(), to.frac_bits()));
   }
   return saturate(r, to);
 }

@@ -4,28 +4,13 @@
 #include <stdexcept>
 
 #include "nodetr/tensor/parallel.hpp"
+#include "wide.hpp"
 
 namespace nodetr::fx {
 
 using nodetr::tensor::index_t;
 
 namespace {
-
-using wide_t = __int128;
-
-std::int64_t narrow(wide_t acc, int from_frac, const FixedFormat& to) {
-  const int shift = from_frac - to.frac_bits();
-  wide_t r = acc;
-  if (shift > 0) {
-    const wide_t half = wide_t{1} << (shift - 1);
-    r = (r + (r >= 0 ? half : half - 1)) >> shift;
-  } else if (shift < 0) {
-    r <<= -shift;
-  }
-  if (r > to.raw_max()) return to.raw_max();
-  if (r < to.raw_min()) return to.raw_min();
-  return static_cast<std::int64_t>(r);
-}
 
 void check_nchw(const FixedTensor& x, const char* who) {
   if (x.shape().rank() != 4) throw std::invalid_argument(std::string(who) + ": rank must be 4");
@@ -44,11 +29,8 @@ FixedTensor qconv2d(const FixedTensor& x, const FixedTensor& weight, const Fixed
     for (index_t soc = lo; soc < hi; ++soc) {
       const index_t s = soc / g.out_channels, oc = soc % g.out_channels;
       // Bias enters the accumulator at the product scale (pre-rounding).
-      wide_t bias_acc = 0;
-      if (!bias.empty()) {
-        bias_acc = static_cast<wide_t>(convert_raw(bias[oc], bias.format(),
-                                                   FixedFormat{62, 62 - prod_frac}));
-      }
+      const wide_t bias_acc =
+          bias.empty() ? 0 : rescale(bias[oc], bias.format().frac_bits(), prod_frac);
       for (index_t oy = 0; oy < ho; ++oy) {
         for (index_t ox = 0; ox < wo; ++ox) {
           wide_t acc = bias_acc;

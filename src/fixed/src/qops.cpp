@@ -8,28 +8,13 @@
 #include "nodetr/tensor/arena.hpp"
 #include "nodetr/tensor/ops.hpp"
 #include "nodetr/tensor/parallel.hpp"
+#include "wide.hpp"
 
 namespace nodetr::fx {
 
 namespace {
 
-using wide_t = __int128;
 using nodetr::tensor::ScratchArena;
-
-/// Round a wide accumulator at `from_frac` fractional bits into `to`.
-std::int64_t narrow(wide_t acc, int from_frac, const FixedFormat& to) {
-  const int shift = from_frac - to.frac_bits();
-  wide_t r = acc;
-  if (shift > 0) {
-    const wide_t half = wide_t{1} << (shift - 1);
-    r = (r + (r >= 0 ? half : half - 1)) >> shift;
-  } else if (shift < 0) {
-    r <<= -shift;
-  }
-  if (r > to.raw_max()) return to.raw_max();
-  if (r < to.raw_min()) return to.raw_min();
-  return static_cast<std::int64_t>(r);
-}
 
 void check_rank2(const FixedTensor& t, const char* who) {
   if (t.shape().rank() != 2) throw std::invalid_argument(std::string(who) + ": rank must be 2");
@@ -143,11 +128,11 @@ FixedTensor qscale(const FixedTensor& a, float scale) {
 
 FixedTensor qlayernorm_rows(const FixedTensor& x, const FixedTensor& gamma,
                             const FixedTensor& beta, float eps) {
-  check_rank2(x, "qlayernorm_rows");
-  const index_t rows = x.shape().dim(0), cols = x.shape().dim(1);
-  if (gamma.numel() != cols || beta.numel() != cols) {
-    throw std::invalid_argument("qlayernorm_rows: gamma/beta size mismatch");
+  const index_t cols = x.shape().rank() > 0 ? x.shape().dim(-1) : 0;
+  if (cols == 0 || gamma.numel() != cols || beta.numel() != cols) {
+    throw std::invalid_argument("qlayernorm_rows: empty last axis or gamma/beta size mismatch");
   }
+  const index_t rows = x.numel() / cols;
   const auto& ff = x.format();
   FixedTensor out(x.shape(), ff);
   const int gf = gamma.format().frac_bits();
@@ -193,14 +178,10 @@ FixedTensor qlinear(const FixedTensor& x, const FixedTensor& weight_t, const Fix
   // widening shift is exact for every scheme (prod_frac >= bias frac_bits
   // whenever the feature format has any fractional bits); a hypothetically
   // coarser accumulator would round the bias constant once here instead.
-  const int bshift = prod_frac - bias.format().frac_bits();
   std::vector<wide_t> wide_bias(static_cast<std::size_t>(n));
   for (index_t j = 0; j < n; ++j) {
-    const wide_t b = bias[j];
     wide_bias[static_cast<std::size_t>(j)] =
-        bshift >= 0 ? b << bshift
-                    : (b + (b >= 0 ? (wide_t{1} << (-bshift - 1))
-                                   : (wide_t{1} << (-bshift - 1)) - 1)) >> -bshift;
+        rescale(bias[j], bias.format().frac_bits(), prod_frac);
   }
   FixedTensor y(Shape{m, n}, out_format);
   qgemm_nt(x.raw(), weight_t.raw(), y.raw(), m, k, n, prod_frac, out_format, wide_bias.data());

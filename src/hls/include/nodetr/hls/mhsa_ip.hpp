@@ -32,6 +32,11 @@ struct MhsaWeights {
   static MhsaWeights from_module(nodetr::nn::MultiHeadSelfAttention& mhsa);
 };
 
+/// The design point of an IP core for `mhsa`: its geometry with the given
+/// datapath; every implementation choice at its default.
+[[nodiscard]] MhsaDesignPoint design_point_of(const nodetr::nn::MultiHeadSelfAttention& mhsa,
+                                              DataType dtype, fx::QuantizationScheme scheme);
+
 class MhsaIpCore {
  public:
   /// Geometry of `point` must match the weight shapes.
@@ -42,6 +47,10 @@ class MhsaIpCore {
 
   /// Cycle cost of the last run() (per batch element x batch).
   [[nodiscard]] const CycleBreakdown& last_cycles() const { return last_cycles_; }
+  /// Cycle cost of one image streamed with its own weights.
+  [[nodiscard]] CycleBreakdown cycles_per_image() const {
+    return cycle_model_.estimate(point_, !weights_.ln_gamma.empty());
+  }
   [[nodiscard]] const MhsaDesignPoint& point() const { return point_; }
 
   /// Bytes transferred over the HP port per invocation: input + Wq/Wk/Wv
@@ -68,7 +77,7 @@ class MhsaIpCore {
 
   /// Fixed-in / fixed-out datapath on one image's tokens (N, D) in the
   /// scheme's feature format — the exact arithmetic a full-model fixed
-  /// pipeline composes with (used by QuantizedExecutor).
+  /// pipeline composes with (ModelPlan::run_fixed's MHSA ops).
   [[nodiscard]] fx::FixedTensor run_fixed_tokens(const fx::FixedTensor& tokens) const;
 
  private:

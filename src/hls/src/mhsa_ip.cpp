@@ -31,6 +31,13 @@ MhsaWeights MhsaWeights::from_module(nodetr::nn::MultiHeadSelfAttention& mhsa) {
   return w;
 }
 
+MhsaDesignPoint design_point_of(const nodetr::nn::MultiHeadSelfAttention& mhsa, DataType dtype,
+                                fx::QuantizationScheme scheme) {
+  const auto& mc = mhsa.config();
+  return {.dim = mc.dim, .height = mc.height, .width = mc.width, .heads = mc.heads,
+          .dtype = dtype, .scheme = scheme};
+}
+
 MhsaIpCore::MhsaIpCore(MhsaDesignPoint point, MhsaWeights weights)
     : point_(point), weights_(std::move(weights)) {
   const index_t d = point_.dim;
@@ -298,7 +305,7 @@ Tensor MhsaIpCore::run(const Tensor& x) {
   }
   // Latency: one IP invocation per image. With batch-resident weights the
   // weight share of the streaming stage is paid once per run(), not per image.
-  CycleBreakdown one = cycle_model_.estimate(point_, !weights_.ln_gamma.empty());
+  CycleBreakdown one = cycles_per_image();
   std::int64_t streaming = one.streaming * b;
   if (point_.residency == WeightResidency::kBatchResident) {
     const std::int64_t w = cycle_model_.weight_stream_cycles(point_);

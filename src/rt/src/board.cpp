@@ -40,15 +40,8 @@ OffloadedModel::OffloadedModel(models::OdeNet& model, hls::DataType dtype,
     throw std::invalid_argument("OffloadedModel: model has no MHSABlock (not a proposed model)");
   }
   auto& mhsa = block->mhsa();
-  const auto& mc = mhsa.config();
-  hls::MhsaDesignPoint point;
-  point.dim = mc.dim;
-  point.height = mc.height;
-  point.width = mc.width;
-  point.heads = mc.heads;
-  point.dtype = dtype;
-  point.scheme = scheme;
-  auto ip = std::make_unique<hls::MhsaIpCore>(point, hls::MhsaWeights::from_module(mhsa));
+  auto ip = std::make_unique<hls::MhsaIpCore>(hls::design_point_of(mhsa, dtype, scheme),
+                                              hls::MhsaWeights::from_module(mhsa));
   accel_ = std::make_unique<MhsaAccelerator>(std::move(ip), ddr_);
 
   mhsa.set_forward_override(

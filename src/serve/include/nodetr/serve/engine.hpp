@@ -459,7 +459,9 @@ class InferenceEngine {
     obs::Gauge* breaker_open = nullptr;
   };
 
-  enum class BreakerTransition { kOpen, kProbe, kReopen, kClose };
+  /// kRespawn: the board's rebuilt session starts with a closed breaker;
+  /// clear the board's open state without counting a close (no probe ran).
+  enum class BreakerTransition { kOpen, kProbe, kReopen, kClose, kRespawn };
 
   /// Fills the degenerate fleet when `devices` is empty, names and checks
   /// every board, and derives `workers`.

@@ -476,6 +476,7 @@ void InferenceEngine::worker_loop(std::size_t worker) {
         if (cluster()) abandon_device(worker);
         return;
       }
+      note_breaker(*sessions_[worker], BreakerTransition::kRespawn);
       respawns_.fetch_add(1, std::memory_order_relaxed);
       obs::Registry::instance().counter("serve.worker_respawns").add();
     }
@@ -619,6 +620,8 @@ void InferenceEngine::note_breaker(WorkerSession& session, BreakerTransition tra
   static auto& state_gauge = obs::Registry::instance().gauge("serve.breaker_state");
   const std::size_t d = session.index;
   const DeviceMetrics& m = device_metrics_[d];
+  const bool open =
+      transition == BreakerTransition::kOpen || transition == BreakerTransition::kReopen;
   std::uint64_t open_boards = 0;
   {
     std::lock_guard lk(stats_mu_);
@@ -628,10 +631,9 @@ void InferenceEngine::note_breaker(WorkerSession& session, BreakerTransition tra
       case BreakerTransition::kProbe: slot.breaker_probes += 1; break;
       case BreakerTransition::kReopen: slot.breaker_reopens += 1; break;
       case BreakerTransition::kClose: slot.breaker_closes += 1; break;
+      case BreakerTransition::kRespawn: break;
     }
-    if (transition != BreakerTransition::kProbe) {
-      slot.breaker_open = transition != BreakerTransition::kClose;
-    }
+    if (transition != BreakerTransition::kProbe) slot.breaker_open = open;
     for (const DeviceStats& ds : device_stats_) open_boards += ds.breaker_open ? 1 : 0;
   }
   auto& reg = obs::Registry::instance();
@@ -657,8 +659,8 @@ void InferenceEngine::note_breaker(WorkerSession& session, BreakerTransition tra
       reg.counter("serve.breaker.close").add();
       obs::flight_event(0, obs::FlightKind::kBreakerClose, worker);
       break;
+    case BreakerTransition::kRespawn: break;
   }
-  const bool open = transition != BreakerTransition::kClose;
   m.breaker_open->set(open ? 1.0 : 0.0);
   state_gauge.set(static_cast<double>(open_boards));
   if (cluster()) {

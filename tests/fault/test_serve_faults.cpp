@@ -400,3 +400,66 @@ TEST_F(ServeFaultTest, StatsAreSumsOfBoardSlotsInAFleet) {
   serve::InferenceEngine engine(cfg, weights());
   expect_stats_counted_once(engine, rng_, point_, 3);
 }
+
+namespace {
+
+/// Opens dev0's breaker (every START faults, open_after = 1), heals the
+/// board, then crashes dev0's worker between batches. The respawned session
+/// starts with a closed breaker, so the board must read closed everywhere
+/// once the next batch is served — without a counted close, since no probe
+/// ran.
+void expect_respawn_closes_breaker(serve::InferenceEngine& engine, const nt::Tensor& x) {
+  auto& inj = fault::Injector::instance();
+  inj.arm("rt.dma.error", fault::Schedule::always());
+  auto f0 = engine.submit(x);
+  ASSERT_EQ(f0.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  (void)f0.get();
+  ASSERT_TRUE(engine.stats().device_stats.at("dev0").breaker_open);
+  ASSERT_EQ(engine.stats().open_breakers, 1u);
+
+  inj.disarm("rt.dma.error");
+  inj.arm("serve.worker_crash", fault::Schedule::once(0));
+  // Past a fleet's 1 ms cooldown, so the router readmits dev0.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  auto f1 = engine.submit(x);
+  ASSERT_EQ(f1.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+  (void)f1.get();
+
+  const serve::EngineStats s = engine.stats();
+  EXPECT_EQ(s.respawns, 1u);
+  EXPECT_EQ(s.open_breakers, 0u);
+  EXPECT_FALSE(s.device_stats.at("dev0").breaker_open);
+  EXPECT_EQ(s.breaker_opens, 1u);
+  EXPECT_EQ(s.breaker_probes, 0u);
+  EXPECT_EQ(s.breaker_closes, 0u);
+  EXPECT_EQ(s.failed, 0u);
+  auto& reg = nodetr::obs::Registry::instance();
+  EXPECT_EQ(reg.gauge("serve.device.dev0.breaker_open").value(), 0.0);
+  EXPECT_EQ(reg.gauge("serve.breaker_state").value(), 0.0);
+}
+
+}  // namespace
+
+TEST_F(ServeFaultTest, RespawnClosesADemotedBoardWithoutDevices) {
+  serve::EngineConfig cfg = config(serve::Backend::kFpgaFloat);
+  cfg.breaker.open_after = 1;
+  cfg.breaker.cooldown_us = 60'000'000;  // no half-open probe within the test
+  serve::InferenceEngine engine(cfg, weights());
+  expect_respawn_closes_breaker(
+      engine, rng_.rand(nt::Shape{1, point_.dim, point_.height, point_.width}));
+}
+
+TEST_F(ServeFaultTest, RespawnClosesADemotedBoardInAFleet) {
+  serve::EngineConfig cfg = config(serve::Backend::kCpuFloat);
+  cfg.devices.resize(2);  // default boards: kFpgaFloat, named dev0 and dev1
+  // dev1's 1 MHz clock costs it far above dev0, so the router sends both
+  // requests to dev0: the first while it is healthy, the second once its
+  // 1 ms cooldown has elapsed.
+  cfg.devices[1].clock_mhz = 1.0;
+  cfg.breaker.open_after = 1;
+  cfg.breaker.cooldown_us = 1'000;
+  serve::InferenceEngine engine(cfg, weights());
+  expect_respawn_closes_breaker(
+      engine, rng_.rand(nt::Shape{1, point_.dim, point_.height, point_.width}));
+  EXPECT_EQ(engine.stats().device_stats.at("dev1").batches, 0u);
+}

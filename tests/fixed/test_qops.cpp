@@ -132,6 +132,23 @@ TEST(QLayerNorm, NormalizesRows) {
   }
 }
 
+TEST(QLayerNorm, HigherRankNormalizesTheLastAxisLikeRows) {
+  nt::Rng rng(16);
+  auto x = rng.randn(nt::Shape{2, 3, 16}, 1.0f, 2.0f);
+  auto gamma = rng.randn(nt::Shape{16});
+  auto beta = rng.randn(nt::Shape{16});
+  const auto qg = fx::FixedTensor::from_float(gamma, kP24);
+  const auto qb = fx::FixedTensor::from_float(beta, kP24);
+  auto y3 = fx::qlayernorm_rows(fx::FixedTensor::from_float(x, kF32), qg, qb);
+  auto y2 = fx::qlayernorm_rows(fx::FixedTensor::from_float(x.reshape(nt::Shape{6, 16}), kF32),
+                                qg, qb);
+  ASSERT_EQ(y3.shape(), x.shape());
+  for (nt::index_t i = 0; i < y3.numel(); ++i) ASSERT_EQ(y3[i], y2[i]) << i;
+  const auto short_gamma = fx::FixedTensor::from_float(rng.randn(nt::Shape{8}), kP24);
+  EXPECT_THROW((void)fx::qlayernorm_rows(fx::FixedTensor::from_float(x, kF32), short_gamma, qb),
+               std::invalid_argument);
+}
+
 TEST(QLinear, MatchesFloatLinear) {
   nt::Rng rng(7);
   auto x = rng.randn(nt::Shape{3, 8});

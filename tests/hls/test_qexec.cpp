@@ -1,4 +1,5 @@
-#include "nodetr/hls/qexec.hpp"
+// The whole-model fixed datapath: hls::lower + ModelPlan::run_fixed.
+#include "nodetr/hls/model_plan.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,12 @@ namespace nt = nodetr::tensor;
 namespace fx = nodetr::fx;
 
 namespace {
-hls::QuantizedExecutor default_exec() { return hls::QuantizedExecutor(fx::scheme_32_24()); }
+nt::Tensor run_fixed(nn::Module& m, const nt::Tensor& x,
+                     fx::QuantizationScheme scheme = fx::scheme_32_24()) {
+  const auto& d = x.shape().dims();
+  return hls::lower(m, scheme, nt::Shape(std::vector<nt::index_t>(d.begin() + 1, d.end())))
+      .run_fixed(x);
+}
 }  // namespace
 
 TEST(QExec, ConvLayerMatchesFloat) {
@@ -20,8 +26,7 @@ TEST(QExec, ConvLayerMatchesFloat) {
   nn::Conv2d conv(3, 4, 3, 1, 1, true, rng);
   conv.train(false);
   auto x = rng.randn(nt::Shape{2, 3, 5, 5});
-  auto exec = default_exec();
-  EXPECT_LE(nt::max_abs_diff(exec.run(conv, x), conv.forward(x)), 2e-2f);
+  EXPECT_LE(nt::max_abs_diff(run_fixed(conv, x), conv.forward(x)), 2e-2f);
 }
 
 TEST(QExec, SequentialChainMatchesFloat) {
@@ -38,8 +43,7 @@ TEST(QExec, SequentialChainMatchesFloat) {
   for (int i = 0; i < 10; ++i) (void)net.forward(rng.rand(nt::Shape{4, 3, 16, 16}));
   net.train(false);
   auto x = rng.rand(nt::Shape{2, 3, 16, 16});
-  auto exec = default_exec();
-  EXPECT_LE(nt::max_abs_diff(exec.run(net, x), net.forward(x)), 5e-2f);
+  EXPECT_LE(nt::max_abs_diff(run_fixed(net, x), net.forward(x)), 5e-2f);
 }
 
 TEST(QExec, FullProposedModelMatchesFloatAtWideFormat) {
@@ -48,8 +52,7 @@ TEST(QExec, FullProposedModelMatchesFloatAtWideFormat) {
   model->train(false);
   auto x = rng.rand(nt::Shape{2, 3, 32, 32});
   auto ref = model->forward(x);
-  auto exec = default_exec();
-  auto q = exec.run(*model, x);
+  auto q = run_fixed(*model, x);
   EXPECT_EQ(q.shape(), ref.shape());
   // 32(16)-24(8): the paper's "no degradation" point.
   EXPECT_LE(nt::max_abs_diff(q, ref), 0.05f);
@@ -60,8 +63,7 @@ TEST(QExec, FullOdeNetMatchesFloat) {
   auto model = m::make_model(m::ModelKind::kTinyOdeNet, 32, 10, rng);
   model->train(false);
   auto x = rng.rand(nt::Shape{1, 3, 32, 32});
-  auto exec = default_exec();
-  EXPECT_LE(nt::max_abs_diff(exec.run(*model, x), model->forward(x)), 0.05f);
+  EXPECT_LE(nt::max_abs_diff(run_fixed(*model, x), model->forward(x)), 0.05f);
 }
 
 TEST(QExec, ErrorGrowsWithNarrowerSchemes) {
@@ -72,8 +74,7 @@ TEST(QExec, ErrorGrowsWithNarrowerSchemes) {
   auto ref = model->forward(x);
   float prev = -1.0f;
   for (const auto& scheme : fx::table8_schemes()) {
-    hls::QuantizedExecutor exec(scheme);
-    const float err = nt::mean_abs_diff(exec.run(*model, x), ref);
+    const float err = nt::mean_abs_diff(run_fixed(*model, x, scheme), ref);
     EXPECT_GE(err, prev * 0.3f) << scheme.to_string();
     prev = std::max(prev, err);
   }
@@ -85,17 +86,16 @@ TEST(QExec, DeterministicBitExactAcrossRuns) {
   auto model = m::make_model(m::ModelKind::kTinyProposed, 32, 10, rng);
   model->train(false);
   auto x = rng.rand(nt::Shape{1, 3, 32, 32});
-  hls::QuantizedExecutor exec(fx::scheme_20_16());
-  auto a = exec.run(*model, x);
-  auto b = exec.run(*model, x);
+  const auto plan = hls::lower(*model, fx::scheme_20_16(), nt::Shape{3, 32, 32});
+  auto a = plan.run_fixed(x);
+  auto b = plan.run_fixed(x);
   EXPECT_TRUE(nt::allclose(a, b, 0.0f, 0.0f));
 }
 
 TEST(QExec, RejectsUnsupportedModules) {
   nt::Rng rng(7);
   nn::SeqMhsa unsupported(8, 2, rng);
-  auto exec = default_exec();
-  EXPECT_THROW((void)exec.run(unsupported, nt::Tensor(nt::Shape{1, 3, 8})),
+  EXPECT_THROW((void)run_fixed(unsupported, nt::Tensor(nt::Shape{1, 3, 8})),
                std::invalid_argument);
 }
 
@@ -105,7 +105,13 @@ TEST(QExec, RejectsNonEulerOdeBlocks) {
   model->train(false);
   auto* onet = static_cast<m::OdeNet*>(model.get());
   for (auto* b : onet->ode_blocks()) b->set_solver(nodetr::ode::SolverKind::kRk4);
-  auto exec = default_exec();
-  EXPECT_THROW((void)exec.run(*model, nt::Tensor(nt::Shape{1, 3, 32, 32})),
+  EXPECT_THROW((void)run_fixed(*model, nt::Tensor(nt::Shape{1, 3, 32, 32})),
                std::invalid_argument);
+}
+
+TEST(QExec, LayerNormOverLastAxisMatchesFloat) {
+  nt::Rng rng(9);
+  nn::LayerNorm ln(8);
+  auto x = rng.randn(nt::Shape{2, 3, 4, 8});
+  EXPECT_LE(nt::max_abs_diff(run_fixed(ln, x), ln.forward(x)), 2e-2f);
 }

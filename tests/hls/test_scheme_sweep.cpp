@@ -1,9 +1,9 @@
 // Parameterized sweep over the paper's five quantization schemes: invariants
 // that must hold for EVERY format (Table VIII's rows), exercised end to end
-// through the full fixed-point executor.
+// through the lowered whole-model fixed datapath.
 #include <gtest/gtest.h>
 
-#include "nodetr/hls/qexec.hpp"
+#include "nodetr/hls/model_plan.hpp"
 #include "nodetr/models/zoo.hpp"
 #include "nodetr/tensor/ops.hpp"
 
@@ -32,6 +32,9 @@ class SchemeSweep : public ::testing::TestWithParam<SchemeCase> {
     static nt::Tensor x = rng.rand(nt::Shape{2, 3, 32, 32});
     return x;
   }
+  static hls::ModelPlan plan(const fx::QuantizationScheme& scheme) {
+    return hls::lower(model(), scheme, nt::Shape{3, 32, 32});
+  }
   static const nt::Tensor& reference() {
     static nt::Tensor ref = model().forward(input());
     return ref;
@@ -41,23 +44,20 @@ class SchemeSweep : public ::testing::TestWithParam<SchemeCase> {
 }  // namespace
 
 TEST_P(SchemeSweep, FullModelOutputFiniteAndShapeCorrect) {
-  hls::QuantizedExecutor exec(GetParam().scheme);
-  auto q = exec.run(model(), input());
+  auto q = plan(GetParam().scheme).run_fixed(input());
   ASSERT_EQ(q.shape(), reference().shape());
   for (nt::index_t i = 0; i < q.numel(); ++i) EXPECT_FALSE(std::isnan(q[i]));
 }
 
 TEST_P(SchemeSweep, LogitErrorBounded) {
-  hls::QuantizedExecutor exec(GetParam().scheme);
-  auto q = exec.run(model(), input());
+  auto q = plan(GetParam().scheme).run_fixed(input());
   EXPECT_LE(nt::mean_abs_diff(q, reference()), GetParam().logit_error_bound)
       << GetParam().scheme.to_string();
 }
 
 TEST_P(SchemeSweep, BitExactDeterminism) {
-  hls::QuantizedExecutor a(GetParam().scheme), b(GetParam().scheme);
-  auto ya = a.run(model(), input());
-  auto yb = b.run(model(), input());
+  auto ya = plan(GetParam().scheme).run_fixed(input());
+  auto yb = plan(GetParam().scheme).run_fixed(input());
   EXPECT_TRUE(nt::allclose(ya, yb, 0.0f, 0.0f)) << GetParam().scheme.to_string();
 }
 
